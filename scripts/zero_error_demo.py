@@ -9,7 +9,6 @@ from zecap import (
     ChannelParams,
     forbidden_run_code,
     pairwise_block_code,
-    verify_code,
     zero_error_trial,
 )
 
@@ -31,7 +30,6 @@ def main() -> int:
         params = ChannelParams(span, span)
         code = forbidden_run_code(args.n, args.run_bound)
 
-    assert verify_code(params, code)
     report = zero_error_trial(params, code, args.trials, args.seed)
     print(
         json.dumps(

@@ -95,9 +95,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    graph = build_graph(
-        ChannelParams(args.k1, args.k2), args.n, max_n=_graph_cap(), workers=args.threads
-    )
+    graph = build_graph(ChannelParams(args.k1, args.k2), args.n, max_n=_graph_cap())
     text = graph.adjacency_text()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -110,7 +108,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
-    graph = build_graph(params, args.n, max_n=_graph_cap(), workers=args.threads)
+    graph = build_graph(params, args.n, max_n=_graph_cap())
     result = optimal_code(graph, time_limit=args.time_limit)
     witness_file = args.witness_file
     if witness_file:
@@ -213,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("search", help="exact optimal zero-error code at length n")
@@ -222,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--witness-file", help="write the witness code here")
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("construct", help="write a construction-family code file")

@@ -7,11 +7,17 @@ of its trailing run (capped at k2-1). The DP tracks the set of reachable
 (last symbol, capped run) states; the pair is confusable iff a state survives
 to the final step. The exhaustive output-set enumerator is kept as the slow
 reference for tests.
+
+The graph builder runs the same DP bit-parallel: reachability distributes
+over union, so one walk of the input trie carries, for each joint state
+(b input run, output run), a big-int bitset of every b-prefix that reaches
+it. Each b-prefix is stored at the high bits of its final lexicographic
+label, so extending b by a symbol is one shift and the rows come out in
+vertex labels. confusable_dp stays as the independent pairwise reference.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Iterator
 
@@ -191,128 +197,57 @@ class ConfusabilityGraph:
         return "\n".join(lines) + "\n"
 
 
-def _build_rows_sequential(params: ChannelParams, n: int) -> list[int]:
-    """Adjacency rows via a shared-prefix walk of all sequence pairs.
-
-    Runs the same joint DP as confusable_dp, but amortizes common prefixes
-    over the product of the sequence trie with itself and prunes a branch
-    as soon as its reachable-state mask dies. Output states are packed as
-    ints: last * (k2-1) + run - 1 with the run capped at k2-1.
-    """
-    k1, k2 = params.k1, params.k2
-    cap_in = k1 - 1
-    cap_out = k2 - 1
-    rows = [0] * (1 << n)
-
-    def walk(
-        depth: int,
-        code_a: int,
-        code_b: int,
-        a_last: int,
-        a_run: int,
-        b_last: int,
-        b_run: int,
-        equal: bool,
-        mask: int,
-    ) -> None:
-        if depth == n:
-            if not equal:
-                rows[code_a] |= 1 << code_b
-                rows[code_b] |= 1 << code_a
-            return
-        for s_a in (0, 1):
-            # on the diagonal, branch (1,0) mirrors (0,1); skip it
-            s_b_choices = (0, 1) if not equal or s_a == 0 else (1,)
-            for s_b in s_b_choices:
-                free_a = cap_in > 0 and a_run >= cap_in and s_a != a_last
-                free_b = cap_in > 0 and b_run >= cap_in and s_b != b_last
-                next_mask = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    sid = low.bit_length() - 1
-                    if cap_out:
-                        last, run = divmod(sid, cap_out)
-                        run += 1
-                        break_a = run >= cap_out and s_a != last
-                        break_b = run >= cap_out and s_b != last
-                    else:
-                        last, run = -1, 0
-                        break_a = break_b = False
-                    outs_a = 3 if free_a or break_a else 1 << s_a
-                    outs_b = 3 if free_b or break_b else 1 << s_b
-                    joint = outs_a & outs_b
-                    if not joint:
-                        continue
-                    if not cap_out:
-                        next_mask |= 1
-                        continue
-                    if joint & 1:
-                        next_run = min(run + 1 if last == 0 else 1, cap_out)
-                        next_mask |= 1 << (next_run - 1)
-                    if joint & 2:
-                        next_run = min(run + 1 if last == 1 else 1, cap_out)
-                        next_mask |= 1 << (cap_out + next_run - 1)
-                if next_mask:
-                    walk(
-                        depth + 1,
-                        (code_a << 1) | s_a,
-                        (code_b << 1) | s_b,
-                        s_a,
-                        min(a_run + 1 if s_a == a_last else 1, cap_in) if cap_in else 1,
-                        s_b,
-                        min(b_run + 1 if s_b == b_last else 1, cap_in) if cap_in else 1,
-                        equal and s_a == s_b,
-                        next_mask,
-                    )
-
-    # y_1 = x_1 is forced, so pairs differing at position 1 never meet
-    for s in (0, 1):
-        start_mask = 1 if not cap_out else 1 << (s * cap_out)
-        walk(1, s, s, s, 1, s, 1, True, start_mask)
-    return rows
-
-
-def _rows_for_indices(args: tuple[int, int, int, int, int]) -> tuple[int, list[int]]:
-    """Worker: full adjacency rows for vertices start, start+step, ... (< size)."""
-    k1, k2, n, start, step = args
-    params = ChannelParams(k1, k2)
-    size = 1 << n
-    seqs = [Bits.from_index(i, n) for i in range(size)]
-    out = []
-    for i in range(start, size, step):
-        row = 0
-        for j in range(size):
-            if j != i and confusable_dp(params, seqs[i], seqs[j]):
-                row |= 1 << j
-        out.append(row)
-    return start, out
+def _advance(last: int, run: int, sym: int, cap: int) -> tuple[int, int]:
+    return sym, min(run + 1, cap) if sym == last else 1
 
 
 def build_graph(
-    params: ChannelParams,
-    n: int,
-    *,
-    max_n: int = GRAPH_CAP,
-    workers: int = 1,
+    params: ChannelParams, n: int, *, max_n: int = GRAPH_CAP
 ) -> ConfusabilityGraph:
     """Materialize the confusability graph over all length-n inputs.
 
-    The adjacency is identical whatever the worker count; workers > 1 farms
-    vertex rows out to a process pool.
+    One depth-first walk over the prefixes of input a decides a against
+    every b at once. Each node carries {(b last, b run, y last, y run):
+    mask}, where mask holds one bit per b-prefix that reaches that joint
+    state alongside the node's a-prefix. A b-prefix sits at the high bits
+    of its final lexicographic label (the unread suffix is zero), so
+    appending symbol s at depth d is the shift s << (n-1-d), and the rows
+    come out in vertex labels with no relabelling pass.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
     if n > max_n:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
-    if workers <= 1:
-        rows = _build_rows_sequential(params, n)
-    else:
-        rows = [0] * (1 << n)
-        jobs = [(params.k1, params.k2, n, r, workers) for r in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start, chunk in pool.map(_rows_for_indices, jobs):
-                for offset, row in enumerate(chunk):
-                    rows[start + offset * workers] = row
+    k1, k2 = params.k1, params.k2
+    cap_in, cap_out = max(k1 - 1, 1), max(k2 - 1, 1)
+    rows = [0] * (1 << n)
+
+    def walk(depth: int, a: int, a_last: int, a_run: int, states: dict) -> None:
+        if depth == n:
+            row = 0
+            for mask in states.values():
+                row |= mask
+            rows[a] = row & ~(1 << a)
+            return
+        for s_a in (0, 1):
+            free_a = _breaks_run(k1, a_run, a_last, s_a)
+            nxt: dict[tuple[int, int, int, int], int] = {}
+            for (b_last, b_run, y_last, y_run), mask in states.items():
+                out_a = 3 if free_a or _breaks_run(k2, y_run, y_last, s_a) else 1 << s_a
+                for s_b in (0, 1):
+                    free_b = _breaks_run(k1, b_run, b_last, s_b)
+                    out_b = 3 if free_b or _breaks_run(k2, y_run, y_last, s_b) else 1 << s_b
+                    joint = out_a & out_b
+                    if not joint:
+                        continue
+                    b_state = _advance(b_last, b_run, s_b, cap_in)
+                    moved = mask << (s_b << (n - 1 - depth))
+                    for y in (0, 1):
+                        if joint >> y & 1:
+                            key = b_state + _advance(y_last, y_run, y, cap_out)
+                            nxt[key] = nxt.get(key, 0) | moved
+            # b = a keeps the deterministic trace alive, so nxt is never empty
+            walk(depth + 1, a << 1 | s_a, *_advance(a_last, a_run, s_a, cap_in), nxt)
+
+    walk(0, 0, -1, 0, {(-1, 0, -1, 0): 1})
     return ConfusabilityGraph(params=params, n=n, rows=tuple(rows))

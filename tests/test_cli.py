@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zecap
 from zecap import pairwise_block_code, write_code_file, ChannelParams
 from zecap.cli import main
 
@@ -209,10 +212,14 @@ def test_missing_code_file_is_usage_error(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child must import the same zecap as this test, installed or not
+    package_root = str(Path(zecap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "zecap", "capacity", "--k1", "5", "--k2", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)
