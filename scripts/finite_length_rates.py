@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from zecap import (
+    CapExceededError,
     ChannelParams,
     build_graph,
     count_forbidden_run,
@@ -38,7 +39,11 @@ def main() -> int:
         header += ",family_lower,family_upper"
     print(header)
     for n in range(args.n_min, args.n_max + 1):
-        graph = build_graph(params, n)
+        try:
+            graph = build_graph(params, n)
+        except CapExceededError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 4
         result = optimal_code(graph, time_limit=args.time_limit)
         row = f"{n},{result.size},{rate(n, result.size):.12g},{int(result.optimal)}"
         if with_families:

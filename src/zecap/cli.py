@@ -127,17 +127,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _params_or(args: argparse.Namespace, k1: int, k2: int) -> ChannelParams:
+    """Channel from --k1/--k2 where given, else the defaults k1, k2."""
+    return ChannelParams(
+        k1 if args.k1 is None else args.k1, k2 if args.k2 is None else args.k2
+    )
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "pairwise":
         code = pairwise_block_code(args.n)
-        params = ChannelParams(args.k1 or 2, args.k2 or 1)
+        params = _params_or(args, 2, 1)
         default_name = f"code_pairwise_n{args.n}.txt"
     else:
         if args.run_bound is None:
             raise ValueError("forbidden-run needs --L")
         code = forbidden_run_code(args.n, args.run_bound)
         span = args.run_bound + 1
-        params = ChannelParams(args.k1 or span, args.k2 or span)
+        params = _params_or(args, span, span)
         default_name = f"code_forbidden_run_n{args.n}_L{args.run_bound}.txt"
     out = args.out or default_name
     write_code_file(out, params, code)
@@ -163,9 +170,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _load_code(args: argparse.Namespace) -> tuple[ChannelParams, Code]:
     file_params, code = read_code_file(args.code)
-    k1 = args.k1 if args.k1 is not None else file_params.k1
-    k2 = args.k2 if args.k2 is not None else file_params.k2
-    return ChannelParams(k1, k2), code
+    return _params_or(args, file_params.k1, file_params.k2), code
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -1,23 +1,22 @@
 """Zero-error code verification, exact optimal-code search, and code files.
 
-The exact search is branch and bound for a maximum clique of the complement
-graph (a clique of pairwise-distinguishable inputs), with a greedy-coloring
-upper bound and big-int bit vectors for candidate sets. Before branching,
-vertices whose closed neighborhood contains another's are discarded: if
-N[u] is a subset of N[v], any code using v can swap v for u, so v is never
-needed. That is the graph form of the codeword-replacement rule and it
-preserves the exact optimum.
+An optimal code is a maximum independent set of the confusability graph.
+The search first discards vertices whose closed neighborhood contains
+another's: if N[u] is a subset of N[v], any code using v can swap v for u,
+so v is never needed. That is the graph form of the codeword-replacement
+rule and it preserves the exact optimum. Branch and bound then runs on the
+kept kernel directly on the big-int confusability rows, with a greedy
+clique-cover upper bound. One deadline covers both phases.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import sys
 import time
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-from math import log2
+from math import inf, log2
 
 from .channel import ChannelParams
 from .confusability import ConfusabilityGraph, confusable_dp, output_membership, possible_outputs
@@ -99,174 +98,116 @@ def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) ->
     return Code.from_words([w for w in code.words if w != x] + [x_new], n=code.n)
 
 
-class _SearchTimeout(Exception):
-    pass
+def _drop_dominated(rows: tuple[int, ...], deadline: float) -> int | None:
+    """Bitmask of kept vertices after closed-neighborhood domination removal.
 
-
-def _drop_dominated(rows: list[int]) -> int:
-    """Bitmask of kept vertices after closed-neighborhood domination removal."""
+    None when the deadline passes first.
+    """
     count = len(rows)
     alive = (1 << count) - 1
-    closed = [rows[i] | (1 << i) for i in range(count)]
     changed = True
     while changed:
         changed = False
         for u in range(count):
             if not (alive >> u) & 1:
                 continue
-            cu = closed[u] & alive
+            if time.monotonic() >= deadline:
+                return None
+            cu = (rows[u] | (1 << u)) & alive
             neighbors = rows[u] & alive
             while neighbors:
                 low = neighbors & -neighbors
                 neighbors ^= low
-                v = low.bit_length() - 1
-                if cu & ~(closed[v] & alive) == 0:
-                    alive &= ~low
-                    cu &= ~low
+                # N[u] within N[v]: v is the only member of N[u] outside N(v)
+                if cu & ~rows[low.bit_length() - 1] == low:
+                    alive ^= low
+                    cu ^= low
                     changed = True
     return alive
 
 
-def _greedy_clique(adj: list[int], full: int) -> int:
-    """Clique bitmask found by repeatedly taking the densest compatible vertex."""
-    clique = 0
-    candidates = full
-    while candidates:
-        best_v, best_deg = -1, -1
+def _max_independent(rows: tuple[int, ...], kernel: int, deadline: float) -> tuple[int, bool]:
+    """Largest independent set inside `kernel`, as a bitmask in vertex labels.
+
+    Each search node first takes every candidate with no neighbour among the
+    candidates, then bounds the rest by a greedy clique cover (an independent
+    set meets each clique at most once) and branches on the vertices in
+    reverse cover order. The second value is False when the deadline passed;
+    the mask is then the best set found so far, possibly empty.
+    """
+    best, best_size = 0, 0
+    frames: list[tuple[list[int], list[int], int, int]] = []
+    # each frame: cover-ordered vertices, their bounds, candidates, chosen set
+
+    def push(candidates: int, chosen: int) -> None:
+        nonlocal best, best_size
         m = candidates
         while m:
             low = m & -m
             m ^= low
-            v = low.bit_length() - 1
-            deg = (adj[v] & candidates).bit_count()
-            if deg > best_deg:
-                best_v, best_deg = v, deg
-        clique |= 1 << best_v
-        candidates &= adj[best_v]
-    return clique
-
-
-def _max_clique(adj: list[int], time_limit: float | None) -> tuple[int, bool]:
-    """Exact maximum clique bitmask; second value False when the search timed out."""
-    count = len(adj)
-    if count == 0:
-        return 0, True
-    order = sorted(range(count), key=lambda v: adj[v].bit_count(), reverse=True)
-    back = {v: i for i, v in enumerate(order)}
-    radj = [0] * count
-    for new_i, old_i in enumerate(order):
-        row = adj[old_i]
-        while row:
-            low = row & -row
-            row ^= low
-            radj[new_i] |= 1 << back[low.bit_length() - 1]
-
-    full = (1 << count) - 1
-    best_mask = _greedy_clique(radj, full)
-    best = best_mask.bit_count()
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    current: list[int] = []
-    completed = True
-
-    def color_order(candidates: int) -> tuple[list[int], list[int]]:
-        # greedy coloring: the color index bounds any clique inside `candidates`
+            if not rows[low.bit_length() - 1] & candidates:
+                chosen |= low
+        candidates &= ~chosen
+        if not candidates:
+            if chosen.bit_count() > best_size:
+                best, best_size = chosen, chosen.bit_count()
+            return
         verts: list[int] = []
         bounds: list[int] = []
         rest = candidates
-        color = 0
+        cliques = 0
         while rest:
-            color += 1
+            cliques += 1
             avail = rest
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1
-                avail &= ~(radj[v] | low)
+                avail &= rows[v]
                 rest ^= low
                 verts.append(v)
-                bounds.append(color)
-        return verts, bounds
+                bounds.append(cliques)
+        frames.append((verts, bounds, candidates, chosen))
 
-    def expand(size: int, candidates: int) -> None:
-        nonlocal best, best_mask
-        if deadline is not None and time.monotonic() > deadline:
-            raise _SearchTimeout
-        verts, bounds = color_order(candidates)
-        for idx in range(len(verts) - 1, -1, -1):
-            if size + bounds[idx] <= best:
-                return
-            v = verts[idx]
-            current.append(v)
-            rest = candidates & radj[v]
-            if rest:
-                expand(size + 1, rest)
-            elif size + 1 > best:
-                best = size + 1
-                best_mask = 0
-                for u in current:
-                    best_mask |= 1 << u
-            current.pop()
-            candidates &= ~(1 << v)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, count + 1000))
-    try:
-        expand(0, full)
-    except _SearchTimeout:
-        completed = False
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    original_mask = 0
-    m = best_mask
-    while m:
-        low = m & -m
-        m ^= low
-        original_mask |= 1 << order[low.bit_length() - 1]
-    return original_mask, completed
+    push(kernel, 0)
+    while frames:
+        if time.monotonic() >= deadline:
+            return best, False
+        verts, bounds, candidates, chosen = frames[-1]
+        if not verts or chosen.bit_count() + bounds[-1] <= best_size:
+            frames.pop()
+            continue
+        v = verts.pop()
+        bounds.pop()
+        low = 1 << v
+        # later siblings exclude v; the child includes it
+        frames[-1] = (verts, bounds, candidates & ~low, chosen)
+        push(candidates & ~(rows[v] | low), chosen | low)
+    return best, True
 
 
 def optimal_code(
     graph: ConfusabilityGraph,
     *,
     time_limit: float | None = DEFAULT_TIME_LIMIT,
-    reduce_dominated: bool = True,
 ) -> SearchResult:
     """Exact largest zero-error code for the graph's channel and length.
 
     The size is deterministic; the witness is one maximizer and need not be
-    canonical. On timeout the best code found so far is returned with
-    optimal=False.
+    canonical. The time limit covers every phase. On timeout the best code
+    found so far (vertex 0 alone if none yet) is returned with optimal=False.
     """
-    size = graph.vertex_count
-    rows = list(graph.rows)
-    alive = _drop_dominated(rows) if reduce_dominated else (1 << size) - 1
-
-    verts: list[int] = []
-    m = alive
-    while m:
-        low = m & -m
-        m ^= low
-        verts.append(low.bit_length() - 1)
-    count = len(verts)
-
-    # complement adjacency among kept vertices, reindexed 0..count-1
-    position = {v: i for i, v in enumerate(verts)}
-    full = (1 << count) - 1
-    comp = [full & ~(1 << i) for i in range(count)]
-    for i, v in enumerate(verts):
-        row = rows[v] & alive
-        while row:
-            low = row & -row
-            row ^= low
-            comp[i] &= ~(1 << position[low.bit_length() - 1])
-
-    clique_mask, completed = _max_clique(comp, time_limit)
+    deadline = inf if time_limit is None else time.monotonic() + time_limit
+    kernel = _drop_dominated(graph.rows, deadline)
+    if kernel is None:
+        mask, completed = 0, False
+    else:
+        mask, completed = _max_independent(graph.rows, kernel, deadline)
+    mask = mask or 1
     words = []
-    m = clique_mask
-    while m:
-        low = m & -m
-        m ^= low
-        words.append(graph.sequence(verts[low.bit_length() - 1]))
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        words.append(graph.sequence(low.bit_length() - 1))
     witness = Code.from_words(words, n=graph.n)
     return SearchResult(size=len(witness), witness=witness, optimal=completed)
 

@@ -8,6 +8,7 @@ import pytest
 
 import zecap
 from zecap import pairwise_block_code, write_code_file, ChannelParams
+from zecap.confusability import GRAPH_CAP
 from zecap.cli import main
 
 
@@ -135,6 +136,23 @@ def test_construct_forbidden_run(capsys, tmp_path):
     assert out_file.read_text().splitlines()[0] == "# zecap code n=4 k1=4 k2=4"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pairwise", "--n", "4", "--k1", "0"),
+        ("pairwise", "--n", "4", "--k2", "0"),
+        ("forbidden-run", "--n", "4", "--L", "3", "--k1", "0"),
+    ],
+)
+def test_construct_rejects_zero_span(capsys, tmp_path, argv):
+    out_file = tmp_path / "code.txt"
+    status, out, err = run_cli(capsys, "construct", *argv, "--out", str(out_file))
+    assert status == 2
+    assert out == ""
+    assert "k1, k2 must be >= 1" in err
+    assert not out_file.exists()
+
+
 def test_count_forbidden_run_csv(capsys):
     status, out, _ = run_cli(capsys, "count", "forbidden-run", "--L", "3", "--n-max", "10")
     assert status == 0
@@ -211,16 +229,30 @@ def test_missing_code_file_is_usage_error(capsys):
     assert "error" in err
 
 
-def test_module_entry_point_runs():
+def run_child(*argv):
     # the child must import the same zecap as this test, installed or not
     package_root = str(Path(zecap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "zecap", "capacity", "--k1", "5", "--k2", "4"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    result = run_child("-m", "zecap", "capacity", "--k1", "5", "--k2", "4")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["value"] == pytest.approx(0.694242, abs=1e-6)
+
+
+def test_finite_length_rates_refuses_past_cap():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "finite_length_rates.py"
+    n = str(GRAPH_CAP + 1)
+    result = run_child(str(script), "--k1", "1", "--k2", "5", "--n-min", n, "--n-max", n)
+    assert result.returncode == 4
+    assert result.stdout == "n,size,rate_bits,optimal,family_lower,family_upper\n"
+    assert result.stderr.startswith("refused: ")
+    assert len(result.stderr.splitlines()) == 1

@@ -1,13 +1,15 @@
+import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecap import (
     Bits,
     ChannelParams,
     Code,
+    ConfusabilityGraph,
     PreconditionError,
     all_sequences,
     build_graph,
@@ -97,12 +99,72 @@ def test_optimal_code_two_cliques():
     assert optimal_code(graph).size == 2
 
 
-def test_optimal_code_without_reduction_agrees():
-    graph = build_graph(ChannelParams(1, 3), 5)
-    assert (
-        optimal_code(graph, reduce_dominated=False).size
-        == optimal_code(graph, reduce_dominated=True).size
-    )
+@st.composite
+def symmetric_graphs(draw):
+    n = draw(st.sampled_from([3, 4]))
+    count = 1 << n
+    rows = [0] * count
+    for i, j in combinations(range(count), 2):
+        if draw(st.booleans()):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows))
+
+
+def assert_independent(graph, code):
+    labels = [w.to_index() for w in code]
+    mask = sum(1 << i for i in labels)
+    assert labels
+    assert all(not graph.rows[i] & mask for i in labels)
+
+
+@settings(max_examples=25)
+@given(symmetric_graphs())
+def test_optimal_code_matches_brute_on_random_graphs(graph):
+    result = optimal_code(graph)
+    assert result.optimal
+    assert result.size == brute_mis_size(list(graph.rows))
+    assert_independent(graph, result.witness)
+
+
+def test_optimal_code_kernel_with_edges():
+    # domination leaves 438 vertices here, 20 of them with 26 edges among them
+    params = ChannelParams(3, 7)
+    result = optimal_code(build_graph(params, 12))
+    assert result.optimal
+    assert result.size == 426
+    assert verify_code(params, result.witness)
+
+
+# time a call may run past its limit: one domination step or search node
+DEADLINE_SLACK = 1.0
+
+
+def test_optimal_code_honours_deadline_on_large_kernel():
+    graph = build_graph(ChannelParams(1, 5), 13)
+    start = time.perf_counter()
+    result = optimal_code(graph, time_limit=1.0)
+    assert time.perf_counter() - start < 1.0 + DEADLINE_SLACK
+    assert result.optimal
+    assert result.size == 4062
+
+
+def test_optimal_code_search_timeout_keeps_best_found():
+    # 25 disjoint 5-cycles and 3 isolated vertices: nothing is dominated, and
+    # the clique-cover bound (3 per cycle) stays far above the optimum (2 per
+    # cycle), so the search cannot close in time
+    rows = [0] * 128
+    for u in range(125):
+        v = u - u % 5 + (u + 1) % 5
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    graph = ConfusabilityGraph(ChannelParams(1, 1), 7, tuple(rows))
+    start = time.perf_counter()
+    result = optimal_code(graph, time_limit=0.5)
+    assert time.perf_counter() - start < 0.5 + DEADLINE_SLACK
+    assert not result.optimal
+    assert 1 <= result.size <= 53
+    assert_independent(graph, result.witness)
 
 
 def test_optimal_code_timeout_flags_partial():
