@@ -208,7 +208,8 @@ def optimal_code(
         low = mask & -mask
         mask ^= low
         words.append(graph.sequence(low.bit_length() - 1))
-    witness = Code.from_words(words, n=graph.n)
+    # ascending labels are already the lexicographic order Code stores
+    witness = Code(n=graph.n, words=tuple(words))
     return SearchResult(size=len(witness), witness=witness, optimal=completed)
 
 

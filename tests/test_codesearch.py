@@ -124,6 +124,7 @@ def test_optimal_code_matches_brute_on_random_graphs(graph):
     result = optimal_code(graph)
     assert result.optimal
     assert result.size == brute_mis_size(list(graph.rows))
+    assert list(result.witness) == sorted(result.witness)
     assert_independent(graph, result.witness)
 
 
