@@ -19,7 +19,8 @@ from collections.abc import Iterable, Iterator
 from math import inf, log2
 
 from .channel import ChannelParams
-from .confusability import ConfusabilityGraph, confusable_dp, output_membership, possible_outputs
+from .confusability import ConfusabilityGraph, confusable_rows
+from .confusability import output_membership, possible_outputs
 from .errors import PreconditionError
 from .sequences import Bits
 
@@ -63,13 +64,11 @@ class SearchResult:
 
 
 def verify_code(params: ChannelParams, code: Code) -> bool:
-    """True iff every distinct pair of words is distinguishable."""
-    words = code.words
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            if confusable_dp(params, words[i], words[j]):
-                return False
-    return True
+    """True iff every distinct pair of words is distinguishable (a repeat is not)."""
+    if any(len(w) != code.n for w in code.words):
+        raise ValueError("code words must all have length n")
+    labels = [w.to_index() for w in code.words]
+    return not any(confusable_rows(params, code.n, labels))
 
 
 def rate(n: int, size: int) -> float:

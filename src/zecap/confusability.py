@@ -5,21 +5,21 @@ materializing both output sets: along any shared output, the only history the
 channel law can see is the identity of the last output symbol and the length
 of its trailing run (capped at k2-1). The DP tracks the set of reachable
 (last symbol, capped run) states; the pair is confusable iff a state survives
-to the final step. The exhaustive output-set enumerator is kept as the slow
-reference for tests.
+to the final step. confusable_dp runs it for one pair and stays as the
+reference; the exhaustive output-set enumerator is the slow one for tests.
 
-The graph builder runs the same DP bit-parallel: reachability distributes
-over union, so one walk of the input trie carries, for each joint state
-(b input run, output run), a big-int bitset of every b-prefix that reaches
-it. Each b-prefix is stored at the high bits of its final lexicographic
-label, so extending b by a symbol is one shift and the rows come out in
-vertex labels. confusable_dp stays as the independent pairwise reference.
+confusable_rows runs the same DP bit-parallel over a set of words, for the
+graph (all length-n words) and code verification alike: one walk of the
+set's trie, as input a, carries per joint state (b input run, output run) the
+union bitmask of the ranks of the words b whose prefix reaches it; appending
+a symbol to b ANDs that mask with the ranks having that symbol at that depth.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams
 from .errors import CapExceededError
@@ -201,53 +201,63 @@ def _advance(last: int, run: int, sym: int, cap: int) -> tuple[int, int]:
     return sym, min(run + 1, cap) if sym == last else 1
 
 
-def build_graph(
-    params: ChannelParams, n: int, *, max_n: int = GRAPH_CAP
-) -> ConfusabilityGraph:
-    """Materialize the confusability graph over all length-n inputs.
+def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Iterator[int]:
+    """Yield, in rank order, the rank bitmask of the words each word is confusable with.
 
-    One depth-first walk over the prefixes of input a decides a against
-    every b at once. Each node carries {(b last, b run, y last, y run):
-    mask}, where mask holds one bit per b-prefix that reaches that joint
-    state alongside the node's a-prefix. A b-prefix sits at the high bits
-    of its final lexicographic label (the unread suffix is zero), so
-    appending symbol s at depth d is the shift s << (n-1-d), and the rows
-    come out in vertex labels with no relabelling pass.
+    Rank r is the r-th smallest of the words' length-n labels, a repeat is
+    confusable with its copies, and a consumer may stop early. A trie node
+    covers ranks [lo, hi) and maps (b last, b run, y last, y run) to a rank mask.
     """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    if n > max_n:
-        raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
+    labels = sorted(labels)
     k1, k2 = params.k1, params.k2
     cap_in, cap_out = max(k1 - 1, 1), max(k2 - 1, 1)
-    rows = [0] * (1 << n)
-
-    def walk(depth: int, a: int, a_last: int, a_run: int, states: dict) -> None:
+    full = (1 << len(labels)) - 1
+    words = [format(label, f"0{n}b") for label in reversed(labels)]
+    # per depth, the ranks whose symbol there is 0 and those where it is 1
+    columns = [(full ^ ones, ones) for ones in (int("".join(c), 2) for c in zip(*words))]
+    stack = [(0, 0, len(labels), -1, 0, {(-1, 0, -1, 0): full})] if labels else []
+    while stack:
+        depth, lo, hi, a_last, a_run, states = stack.pop()
         if depth == n:
             row = 0
             for mask in states.values():
                 row |= mask
-            rows[a] = row & ~(1 << a)
-            return
-        for s_a in (0, 1):
-            free_a = _breaks_run(k1, a_run, a_last, s_a)
-            nxt: dict[tuple[int, int, int, int], int] = {}
-            for (b_last, b_run, y_last, y_run), mask in states.items():
-                out_a = 3 if free_a or _breaks_run(k2, y_run, y_last, s_a) else 1 << s_a
-                for s_b in (0, 1):
+            yield from (row & ~(1 << rank) for rank in range(lo, hi))
+            continue
+        moves = []  # the b side does not depend on a's next symbol
+        for (b_last, b_run, y_last, y_run), mask in states.items():
+            for s_b, column in enumerate(columns[depth]):
+                if moved := mask & column:
                     free_b = _breaks_run(k1, b_run, b_last, s_b)
                     out_b = 3 if free_b or _breaks_run(k2, y_run, y_last, s_b) else 1 << s_b
-                    joint = out_a & out_b
-                    if not joint:
-                        continue
                     b_state = _advance(b_last, b_run, s_b, cap_in)
-                    moved = mask << (s_b << (n - 1 - depth))
-                    for y in (0, 1):
-                        if joint >> y & 1:
-                            key = b_state + _advance(y_last, y_run, y, cap_out)
-                            nxt[key] = nxt.get(key, 0) | moved
+                    moves.append((y_last, y_run, out_b, b_state, moved))
+        shift = n - 1 - depth
+        split = bisect_left(labels, (labels[lo] >> shift | 1) << shift, lo, hi)
+        for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
+            if child_lo == child_hi:
+                continue
+            free_a = _breaks_run(k1, a_run, a_last, s_a)
+            nxt: dict[tuple[int, int, int, int], int] = {}
+            for y_last, y_run, out_b, b_state, moved in moves:
+                out_a = 3 if free_a or _breaks_run(k2, y_run, y_last, s_a) else 1 << s_a
+                joint = out_a & out_b
+                for y in (0, 1):
+                    if joint >> y & 1:
+                        key = b_state + _advance(y_last, y_run, y, cap_out)
+                        nxt[key] = nxt.get(key, 0) | moved
             # b = a keeps the deterministic trace alive, so nxt is never empty
-            walk(depth + 1, a << 1 | s_a, *_advance(a_last, a_run, s_a, cap_in), nxt)
+            a_state = _advance(a_last, a_run, s_a, cap_in)
+            stack.append((depth + 1, child_lo, child_hi, *a_state, nxt))
 
-    walk(0, 0, -1, 0, {(-1, 0, -1, 0): 1})
-    return ConfusabilityGraph(params=params, n=n, rows=tuple(rows))
+
+def build_graph(
+    params: ChannelParams, n: int, *, max_n: int = GRAPH_CAP
+) -> ConfusabilityGraph:
+    """Materialize the confusability graph over all length-n inputs (ranks = labels)."""
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    if n > max_n:
+        raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
+    rows = tuple(confusable_rows(params, n, range(1 << n)))
+    return ConfusabilityGraph(params=params, n=n, rows=rows)

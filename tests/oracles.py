@@ -1,9 +1,9 @@
 """Brute-force reference implementations, deliberately independent of the
 paths they check: output sets by scanning every candidate output through the
-step transition probabilities, and maximum independent sets by subset
-enumeration."""
+step transition probabilities, code validity by the pairwise DP over every
+pair of words, and maximum independent sets by subset enumeration."""
 
-from zecap import Bits, ChannelParams, all_sequences, transition_prob
+from zecap import Bits, ChannelParams, Code, all_sequences, confusable_dp, transition_prob
 
 
 def enumerate_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
@@ -21,6 +21,16 @@ def enumerate_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
 
 def brute_confusable(params: ChannelParams, a: Bits, b: Bits) -> bool:
     return not enumerate_outputs(params, a).isdisjoint(enumerate_outputs(params, b))
+
+
+def pairwise_valid(params: ChannelParams, code: Code) -> bool:
+    """True iff no two entries of code.words are confusable, one pair at a time."""
+    words = code.words
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            if confusable_dp(params, words[i], words[j]):
+                return False
+    return True
 
 
 def brute_mis_size(rows: list[int]) -> int:

@@ -187,6 +187,19 @@ def test_verify_invalid_code(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_verify_search_witness(capsys, tmp_path):
+    witness = tmp_path / "w.txt"
+    status, out, _ = run_cli(
+        capsys,
+        "search", "--k1", "1", "--k2", "5", "--n", "12", "--witness-file", str(witness),
+    )
+    assert status == 0
+    assert json.loads(out)["size"] == 2208
+    status, out, _ = run_cli(capsys, "verify", "--code", str(witness))
+    assert status == 0
+    assert json.loads(out) == {"schema_version": 1, "valid": True, "size": 2208, "n": 12}
+
+
 def test_simulate_verified_code(capsys, tmp_path):
     path = tmp_path / "code.txt"
     write_code_file(path, ChannelParams(2, 1), pairwise_block_code(6))

@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from zecap import (
     build_graph,
     confusable_dp,
     optimal_code,
+    output_membership,
     possible_outputs,
     rate,
     read_code_file,
@@ -23,7 +25,7 @@ from zecap import (
     write_code_file,
 )
 
-from oracles import brute_mis_size
+from oracles import brute_mis_size, pairwise_valid
 
 
 def make_code(*words):
@@ -52,6 +54,76 @@ def test_code_rejects_mixed_lengths():
 )
 def test_verify_code_examples(k1, k2, words, expected):
     assert verify_code(ChannelParams(k1, k2), make_code(*words)) is expected
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=9),
+    st.data(),
+)
+def test_verify_code_matches_pairwise_oracle(k1, k2, n, data):
+    params = ChannelParams(k1, k2)
+    labels = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    words = []
+    for x in (Bits.from_index(i, n) for i in labels):
+        if all(not confusable_dp(params, x, w) for w in words):
+            words.append(x)
+    expected = True
+    if data.draw(st.booleans()):
+        # an output of a codeword, read as an input, shares that output with it
+        x = data.draw(st.sampled_from(words))
+        y = data.draw(st.sampled_from(sorted(possible_outputs(params, x).members)))
+        words.append(y)
+        expected = False
+    if data.draw(st.booleans()):
+        code = Code(n=n, words=tuple(data.draw(st.permutations(words))))
+    else:
+        code = Code.from_words(words, n=n)
+        # an output equal to its codeword is dropped as a repeat
+        expected = expected or len(code) < len(words)
+    assert verify_code(params, code) is expected
+    assert pairwise_valid(params, code) is expected
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1), (4, 4)])
+def test_verify_code_rejects_a_repeated_word(k1, k2):
+    params = ChannelParams(k1, k2)
+    code = Code(n=4, words=(Bits("1100"), Bits("0011"), Bits("1100")))
+    assert verify_code(params, code) is False
+    assert pairwise_valid(params, code) is False
+
+
+def test_verify_code_empty_and_single_word():
+    params = ChannelParams(3, 3)
+    assert verify_code(params, Code(n=5, words=()))
+    assert verify_code(params, make_code("01101"))
+
+
+def test_verify_code_rejects_words_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        verify_code(ChannelParams(2, 2), Code(n=3, words=(Bits("010"), Bits("01"))))
+
+
+def test_verify_code_past_the_recursion_limit():
+    params, n = ChannelParams(4, 4), 2000
+    rng = random.Random(4)
+
+    def short_runs(length):
+        runs = (str(i % 2) * rng.choice((1, 2)) for i in range(length))
+        return Bits("".join(runs)[:length])
+
+    # with no run of 3 no step breaks a run, so each word's only output is itself
+    x, z, w = (short_runs(n) for _ in range(3))
+    # "0001" breaks an input run at step 4, so "0000" + tail is an output of it
+    tail = short_runs(n - 4)
+    a, b = Bits("0001") + tail, Bits("0000") + tail
+    assert output_membership(params, a, b)
+    for words, expected in (((x, z, w), True), ((a, b, x), False)):
+        code = Code.from_words(words)
+        assert len(code) == 3
+        assert pairwise_valid(params, code) is expected
+        assert verify_code(params, code) is expected
 
 
 @pytest.mark.parametrize(

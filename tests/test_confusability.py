@@ -15,6 +15,7 @@ from zecap import (
     output_membership,
     possible_outputs,
 )
+from zecap.confusability import confusable_rows
 
 from oracles import brute_confusable, enumerate_outputs
 
@@ -166,6 +167,26 @@ def test_graph_matches_pairwise_dp_on_sampled_pairs(k1, k2, n, data):
             j ^= 1 << bit
         expected = i != j and confusable_dp(params, graph.sequence(i), graph.sequence(j))
         assert graph.has_edge(i, j) == expected
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=9),
+    st.data(),
+)
+def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
+    params = ChannelParams(k1, k2)
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=16))
+    ranked = [Bits.from_index(label, n) for label in sorted(labels)]
+    rows = list(confusable_rows(params, n, labels))
+    assert len(rows) == len(labels)
+    for r, (word, row) in enumerate(zip(ranked, rows)):
+        # a repeated label is one word, so its copies share every output with it
+        partners = (
+            s for s, other in enumerate(ranked) if s != r and confusable_dp(params, word, other)
+        )
+        assert row == sum(1 << s for s in partners)
 
 
 def test_graph_symmetric_and_irreflexive():
