@@ -195,6 +195,8 @@ def optimal_code(
     canonical. The time limit covers every phase. On timeout the best code
     found so far (vertex 0 alone if none yet) is returned with optimal=False.
     """
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0 or None, got {time_limit}")
     deadline = inf if time_limit is None else time.monotonic() + time_limit
     kernel = _drop_dominated(graph.rows, deadline)
     if kernel is None:

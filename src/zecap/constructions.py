@@ -11,7 +11,7 @@ from itertools import product
 
 from .codesearch import Code
 from .errors import CapExceededError
-from .sequences import ENUMERATION_CAP, Bits, all_sequences, contains_run
+from .sequences import ENUMERATION_CAP, Bits, all_sequences, contains_run, run_steps
 
 
 @dataclass(frozen=True)
@@ -75,28 +75,25 @@ def count_forbidden_run(n: int, run_bound: int) -> int:
 def no_run_break_counts(k2: int, n_max: int) -> CountTable:
     """Sizes of the family avoiding 0^(k2-1)1 and 1^(k2-1)0, for n = 0..n_max.
 
-    DP over (last symbol, trailing run capped at k2-1): a run that has
-    reached k2-1 may only be extended or end the sequence.
+    These are the words that never break a run of span k2, so the DP counts
+    paths through the channel's run-state table `run_steps(k2)` that take no
+    breaking step.
     """
     if k2 < 3:
         raise ValueError("k2 must be >= 3")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cap = k2 - 1
+    steps = run_steps(k2)
+    ways = [1] + [0] * (len(steps) - 1)
     counts = [1]
-    state: dict[tuple[int, int], int] = {(0, 1): 1, (1, 1): 1}
-    if n_max >= 1:
-        counts.append(2)
-    for _ in range(2, n_max + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (last, run), ways in state.items():
-            key = (last, min(run + 1, cap))
-            nxt[key] = nxt.get(key, 0) + ways
-            if run < cap:
-                key = (1 - last, 1)
-                nxt[key] = nxt.get(key, 0) + ways
-        state = nxt
-        counts.append(sum(state.values()))
+    for _ in range(n_max):
+        nxt = [0] * len(steps)
+        for state, count in enumerate(ways):
+            for after, breaks in steps[state]:
+                if not breaks:
+                    nxt[after] += count
+        ways = nxt
+        counts.append(sum(ways))
     return CountTable(parameter=k2, counts=tuple(counts))
 
 

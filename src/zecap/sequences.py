@@ -1,8 +1,10 @@
-"""Binary sequence primitives: 1-based indexing, run and substring tests, enumeration."""
+"""Binary sequence primitives: 1-based indexing, run and substring tests,
+enumeration, and the run-state step table behind every channel fast path."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import groupby
 
 from .errors import CapExceededError
@@ -110,3 +112,22 @@ def all_sequences(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[Bits]:
         raise CapExceededError(f"enumeration of 2^{n} sequences exceeds cap {max_n}")
     for index in range(1 << n):
         yield Bits.from_index(index, n)
+
+
+@cache
+def run_steps(span: int) -> tuple[tuple[tuple[int, bool], tuple[int, bool]], ...]:
+    """Step table of a history seen through a window of `span` symbols.
+
+    State 0 is the empty history; state 2 * run - 1 + last is a last
+    symbol with its trailing run capped at max(span - 1, 1). steps[state][sym]
+    is (the state after sym, whether sym breaks a run of span - 1 equal
+    symbols): condition a when read along the input, b along the output.
+    """
+    cap = max(span - 1, 1)
+    steps = [((1, False), (2, False))]
+    for run in range(1, cap + 1):
+        for last in (0, 1):
+            same = (2 * min(run + 1, cap) - 1 + last, False)
+            other = (2 - last, span > 1 and run == cap)
+            steps.append((same, other) if last == 0 else (other, same))
+    return tuple(steps)

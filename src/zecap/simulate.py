@@ -11,27 +11,24 @@ from dataclasses import dataclass, field
 
 from .channel import ChannelParams
 from .codesearch import Code, verify_code
-from .confusability import _breaks_run, output_membership
+from .confusability import output_membership
 from .errors import PreconditionError
-from .sequences import Bits
+from .sequences import Bits, run_steps
 
 GENERATOR = "python-random-mt19937/getrandbits"
 MAX_REPORT_EXAMPLES = 10
 
 
 def _sample(params: ChannelParams, x: Bits, rng: random.Random) -> Bits:
-    k1, k2 = params.k1, params.k2
+    steps_in, steps_out = run_steps(params.k1), run_steps(params.k2)
     out: list[str] = []
-    x_run = y_run = 0
-    x_last = y_last = -1
+    x_state = y_state = 0
     for x_t in x:
-        free = _breaks_run(k1, x_run, x_last, x_t) or _breaks_run(k2, y_run, y_last, x_t)
-        y_t = rng.getrandbits(1) if free else x_t
+        x_state, free = steps_in[x_state][x_t]
+        step = steps_out[y_state]
+        y_t = rng.getrandbits(1) if free or step[x_t][1] else x_t
         out.append("01"[y_t])
-        x_run = x_run + 1 if x_t == x_last else 1
-        x_last = x_t
-        y_run = y_run + 1 if y_t == y_last else 1
-        y_last = y_t
+        y_state = step[y_t][0]
     return Bits("".join(out))
 
 

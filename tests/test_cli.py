@@ -113,6 +113,16 @@ def test_search_timeout_returns_refusal(capsys):
     assert "timed out" in err
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_search_rejects_a_bad_time_limit(capsys, limit):
+    status, out, err = run_cli(
+        capsys, "search", "--k1", "1", "--k2", "4", "--n", "4", "--time-limit", limit
+    )
+    assert status == 2
+    assert out == ""
+    assert "time limit" in err
+
+
 def test_construct_pairwise(capsys, tmp_path):
     out_file = tmp_path / "pairwise.txt"
     status, out, _ = run_cli(

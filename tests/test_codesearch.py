@@ -248,6 +248,12 @@ def test_optimal_code_timeout_flags_partial():
     assert verify_code(ChannelParams(1, 4), result.witness)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), -1.0, -float("inf")])
+def test_optimal_code_rejects_a_bad_time_limit(limit):
+    with pytest.raises(ValueError):
+        optimal_code(build_graph(ChannelParams(1, 4), 4), time_limit=limit)
+
+
 def test_replace_codeword_example():
     params = ChannelParams(2, 1)
     updated = replace_codeword(params, make_code("01", "11"), Bits("01"), Bits("00"))

@@ -45,6 +45,12 @@ def test_possible_outputs_cap():
         possible_outputs(ChannelParams(2, 1), Bits("0101"), max_n=3)
 
 
+def test_possible_outputs_past_the_recursion_limit():
+    # a raised cap admits inputs longer than Python's recursion limit
+    x = Bits("0" * 1500)
+    assert possible_outputs(ChannelParams(2, 1), x, max_n=2000).members == {x}
+
+
 @given(small_params, st.text(alphabet="01", min_size=1, max_size=7))
 def test_possible_outputs_match_transition_scan(params, s):
     x = Bits(s)

@@ -2,7 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zecap import Bits, CapExceededError, all_sequences, contains_pattern, contains_run
+from zecap import (
+    Bits,
+    CapExceededError,
+    ChannelParams,
+    all_sequences,
+    condition_a,
+    condition_b,
+    contains_pattern,
+    contains_run,
+)
+from zecap.sequences import run_steps
 
 bit_strings = st.text(alphabet="01", max_size=24)
 
@@ -100,3 +110,17 @@ def test_all_sequences_cap():
 
 def test_concatenation():
     assert str(Bits("01") + Bits("10")) == "0110"
+
+
+@pytest.mark.parametrize("span", range(1, 7))
+def test_run_steps_break_flags_match_the_channel_conditions(span):
+    # walking every length-9 word steps through every word of length <= 9
+    steps = run_steps(span)
+    as_input, as_output = ChannelParams(span, 1), ChannelParams(1, span)
+    for word in all_sequences(9):
+        state = 0
+        for t, sym in enumerate(word, start=1):
+            state, breaks = steps[state][sym]
+            assert breaks == condition_a(as_input, word, t), (str(word), t)
+            assert breaks == condition_b(as_output, sym, word.prefix(t - 1), t), (str(word), t)
+    assert len(steps) == 1 + 2 * max(span - 1, 1)

@@ -117,6 +117,28 @@ def test_trial_force_surfaces_failures():
     assert 0 < len(report.ambiguity_examples) <= 10
 
 
+@pytest.mark.parametrize(
+    "k1, k2, x, seed, expected",
+    [
+        (2, 3, "010011001", 0, "010011100"),
+        (2, 3, "010011001", 7, "001000100"),
+        (3, 2, "0011100101", 3, "0001110001"),
+        (1, 4, "000111000111", 11, "000011000111"),
+        (4, 4, "011100011101", 5, "011110011101"),
+    ],
+)
+def test_sample_replays_pinned_outputs(k1, k2, x, seed, expected):
+    # literals pinned across versions: a change in coin draw order fails here
+    assert sample_output(ChannelParams(k1, k2), Bits(x), seed) == Bits(expected)
+
+
+def test_forced_trial_replays_pinned_report():
+    code = make_code("001011", "010110", "101001", "110100")
+    report = zero_error_trial(ChannelParams(2, 3), code, 100, seed=42, force=True)
+    assert report.failures == 46
+    assert report.ambiguity_examples[0] == (Bits("001011"), Bits("000111"))
+
+
 def test_trial_replay_is_identical():
     params = ChannelParams(4, 4)
     code = forbidden_run_code(8, 3)
