@@ -108,6 +108,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
+    # optimal_code checks this too, but only after the graph is built
+    if not args.time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
     graph = build_graph(params, args.n, max_n=_graph_cap())
     result = optimal_code(graph, time_limit=args.time_limit)
     witness_file = args.witness_file

@@ -1,12 +1,13 @@
 """Zero-error code verification, exact optimal-code search, and code files.
 
 An optimal code is a maximum independent set of the confusability graph.
-The search first discards vertices whose closed neighborhood contains
-another's: if N[u] is a subset of N[v], any code using v can swap v for u,
-so v is never needed. That is the graph form of the codeword-replacement
-rule and it preserves the exact optimum. Branch and bound then runs on the
-kept kernel directly on the big-int confusability rows, with a greedy
-clique-cover upper bound. One deadline covers both phases.
+The search is branch and reduce on the big-int confusability rows. Its two
+reduction rules preserve the exact optimum: a vertex with no neighbour left
+is always taken, and when N[u] is a subset of N[v] the vertex v is dropped,
+since any code using v can swap v for u (the graph form of the
+codeword-replacement rule). One reduction of the whole graph leaves a
+kernel; each connected component of the kernel is then solved on its own,
+reducing again at every search node. One deadline covers every phase.
 """
 
 from __future__ import annotations
@@ -97,91 +98,87 @@ def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) ->
     return Code.from_words([w for w in code.words if w != x] + [x_new], n=code.n)
 
 
-def _drop_dominated(rows: tuple[int, ...], deadline: float) -> int | None:
-    """Bitmask of kept vertices after closed-neighborhood domination removal.
+def _reduce(
+    rows: tuple[int, ...], cand: int, chosen: int, deadline: float
+) -> tuple[int, int] | None:
+    """Move isolated candidates into `chosen`, drop dominated ones, to a fixed point.
 
-    None when the deadline passes first.
+    Returns the new (cand, chosen), or None when the deadline passes first.
     """
-    count = len(rows)
-    alive = (1 << count) - 1
     changed = True
     while changed:
         changed = False
-        for u in range(count):
-            if not (alive >> u) & 1:
-                continue
-            if time.monotonic() >= deadline:
-                return None
-            cu = (rows[u] | (1 << u)) & alive
-            neighbors = rows[u] & alive
-            while neighbors:
-                low = neighbors & -neighbors
-                neighbors ^= low
-                # N[u] within N[v]: v is the only member of N[u] outside N(v)
-                if cu & ~rows[low.bit_length() - 1] == low:
-                    alive ^= low
-                    cu ^= low
-                    changed = True
-    return alive
-
-
-def _max_independent(rows: tuple[int, ...], kernel: int, deadline: float) -> tuple[int, bool]:
-    """Largest independent set inside `kernel`, as a bitmask in vertex labels.
-
-    Each search node first takes every candidate with no neighbour among the
-    candidates, then bounds the rest by a greedy clique cover (an independent
-    set meets each clique at most once) and branches on the vertices in
-    reverse cover order. The second value is False when the deadline passed;
-    the mask is then the best set found so far, possibly empty.
-    """
-    best, best_size = 0, 0
-    frames: list[tuple[list[int], list[int], int, int]] = []
-    # each frame: cover-ordered vertices, their bounds, candidates, chosen set
-
-    def push(candidates: int, chosen: int) -> None:
-        nonlocal best, best_size
-        m = candidates
+        m = cand
         while m:
             low = m & -m
             m ^= low
-            if not rows[low.bit_length() - 1] & candidates:
+            if not low & cand:
+                continue
+            if time.monotonic() >= deadline:
+                return None
+            neighbors = rows[low.bit_length() - 1] & cand
+            if not neighbors:
                 chosen |= low
-        candidates &= ~chosen
-        if not candidates:
-            if chosen.bit_count() > best_size:
-                best, best_size = chosen, chosen.bit_count()
-            return
-        verts: list[int] = []
-        bounds: list[int] = []
-        rest = candidates
-        cliques = 0
-        while rest:
-            cliques += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= rows[v]
-                rest ^= low
-                verts.append(v)
-                bounds.append(cliques)
-        frames.append((verts, bounds, candidates, chosen))
+                cand ^= low
+                continue
+            cu = neighbors | low
+            while neighbors:
+                v = neighbors & -neighbors
+                neighbors ^= v
+                # N[u] within N[v]: v is the only member of N[u] outside N(v)
+                if cu & ~rows[v.bit_length() - 1] == v:
+                    cand ^= v
+                    cu ^= v
+                    changed = True
+    return cand, chosen
 
-    push(kernel, 0)
-    while frames:
-        if time.monotonic() >= deadline:
-            return best, False
-        verts, bounds, candidates, chosen = frames[-1]
-        if not verts or chosen.bit_count() + bounds[-1] <= best_size:
-            frames.pop()
-            continue
-        v = verts.pop()
-        bounds.pop()
-        low = 1 << v
-        # later siblings exclude v; the child includes it
-        frames[-1] = (verts, bounds, candidates & ~low, chosen)
-        push(candidates & ~(rows[v] | low), chosen | low)
-    return best, True
+
+def _component(rows: tuple[int, ...], cand: int) -> int:
+    """The connected component of the lowest candidate, within the candidates."""
+    comp = frontier = cand & -cand
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & cand & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
+def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]:
+    """Largest independent set of the graph, as a bitmask in vertex labels.
+
+    Each component of the reduced graph is searched on its own stack. A node
+    is cut when its chosen set and all its candidates cannot beat the best,
+    and otherwise branches on its lowest candidate, taken or not. The second
+    value is False when the deadline passed; the mask is then the best set
+    found so far, possibly empty.
+    """
+    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline)
+    if reduced is None:
+        return 0, False
+    rest, found = reduced
+    while rest:
+        comp = _component(rows, rest)
+        rest ^= comp
+        best = 0
+        stack = [(comp, 0)]
+        while stack:
+            reduced = _reduce(rows, *stack.pop(), deadline)
+            if reduced is None:
+                return found | best, False
+            cand, chosen = reduced
+            if chosen.bit_count() + cand.bit_count() <= best.bit_count():
+                continue
+            if not cand:
+                best = chosen
+                continue
+            low = cand & -cand
+            # the include child is pushed last, so it is searched first
+            stack.append((cand ^ low, chosen))
+            stack.append((cand & ~(rows[low.bit_length() - 1] | low), chosen | low))
+        found |= best
+    return found, True
 
 
 def optimal_code(
@@ -198,11 +195,7 @@ def optimal_code(
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 or None, got {time_limit}")
     deadline = inf if time_limit is None else time.monotonic() + time_limit
-    kernel = _drop_dominated(graph.rows, deadline)
-    if kernel is None:
-        mask, completed = 0, False
-    else:
-        mask, completed = _max_independent(graph.rows, kernel, deadline)
+    mask, completed = _max_independent(graph.rows, deadline)
     mask = mask or 1
     words = []
     while mask:

@@ -114,7 +114,11 @@ def test_search_timeout_returns_refusal(capsys):
 
 
 @pytest.mark.parametrize("limit", ["nan", "-1"])
-def test_search_rejects_a_bad_time_limit(capsys, limit):
+def test_search_rejects_a_bad_time_limit(capsys, monkeypatch, limit):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the limit was checked")
+
+    monkeypatch.setattr("zecap.cli.build_graph", no_graph)
     status, out, err = run_cli(
         capsys, "search", "--k1", "1", "--k2", "4", "--n", "4", "--time-limit", limit
     )
