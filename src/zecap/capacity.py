@@ -133,7 +133,8 @@ def bounds_table(k1_min: int, k1_max: int) -> list[tuple[int, float, float]]:
     """Rows (k1, lower_bits, upper_bits) for the open regime k2 > k1 >= 3."""
     if not 3 <= k1_min <= k1_max:
         raise ValueError("need 3 <= k1_min <= k1_max")
-    return [
-        (k1, log2(omega_root(k1)), log2(lambda_root(k1)))
-        for k1 in range(k1_min, k1_max + 1)
-    ]
+    rows = []
+    for k1 in range(k1_min, k1_max + 1):
+        bounds = capacity(k1, k1 + 1)
+        rows.append((k1, bounds.lower, bounds.upper))
+    return rows

@@ -80,15 +80,11 @@ def step_outputs(params: ChannelParams, x_prefix: Bits, y_prefix: Bits) -> froze
 def transition_prob(
     params: ChannelParams, x_prefix: Bits, y_prefix: Bits, y_t: int
 ) -> Fraction:
-    """P(y_t | input prefix, output prefix) as an exact rational."""
+    """P(y_t | input prefix, output prefix) as an exact rational.
+
+    The output is uniform over its support, `step_outputs`.
+    """
     if y_t not in (0, 1):
         raise ValueError("output symbol must be 0 or 1")
-    t = len(x_prefix)
-    if t < 1:
-        raise ValueError("input prefix must be nonempty")
-    if len(y_prefix) != t - 1:
-        raise ValueError(f"output prefix must have length {t - 1}, got {len(y_prefix)}")
-    x_t = x_prefix.at(t)
-    if condition_a(params, x_prefix, t) or condition_b(params, x_t, y_prefix, t):
-        return Fraction(1, 2)
-    return Fraction(1) if y_t == x_t else Fraction(0)
+    support = step_outputs(params, x_prefix, y_prefix)
+    return Fraction(1, len(support)) if y_t in support else Fraction(0)

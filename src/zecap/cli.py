@@ -26,6 +26,8 @@ from .codesearch import (
 )
 from .confusability import GRAPH_CAP, build_graph
 from .constructions import (
+    count_forbidden_run,
+    count_no_run_break,
     forbidden_run_code,
     forbidden_run_counts,
     no_run_break_counts,
@@ -108,9 +110,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
-    # optimal_code checks this too, but only after the graph is built
-    if not args.time_limit >= 0:
-        raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
     graph = build_graph(params, args.n, max_n=_graph_cap())
     result = optimal_code(graph, time_limit=args.time_limit)
     witness_file = args.witness_file
@@ -128,6 +127,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print("search timed out; size is a lower bound", file=sys.stderr)
         return EXIT_REFUSED
     return EXIT_OK
+
+
+def _cmd_rates(args: argparse.Namespace) -> int:
+    params = ChannelParams(args.k1, args.k2)
+    with_families = args.k1 == 1 and args.k2 >= 4
+    print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
+    status = EXIT_OK
+    for n in range(args.n_min, args.n_max + 1):
+        graph = build_graph(params, n, max_n=_graph_cap())
+        result = optimal_code(graph, time_limit=args.time_limit)
+        row = f"{n},{result.size},{rate(n, result.size):.12g},{int(result.optimal)}"
+        if with_families:
+            row += f",{count_forbidden_run(n, args.k2 - 1)},{count_no_run_break(n, args.k2)}"
+        print(row)
+        if not result.optimal:
+            print(f"n={n}: search timed out, size is a lower bound", file=sys.stderr)
+            status = EXIT_REFUSED
+    return status
 
 
 def _params_or(args: argparse.Namespace, k1: int, k2: int) -> ChannelParams:
@@ -229,6 +246,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-file", help="write the witness code here")
     p.set_defaults(func=_cmd_search)
 
+    p = sub.add_parser(
+        "rates",
+        help="CSV n,size,rate_bits,optimal of exact optima per block length, "
+        "with the bracketing family counts where they apply (k1 = 1, k2 >= 4)",
+    )
+    p.add_argument("--k1", type=int, required=True)
+    p.add_argument("--k2", type=int, required=True)
+    p.add_argument("--n-min", type=int, default=1)
+    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
+    p.set_defaults(func=_cmd_rates)
+
     p = sub.add_parser("construct", help="write a construction-family code file")
     p.add_argument("family", choices=["pairwise", "forbidden-run"])
     p.add_argument("--n", type=int, required=True)
@@ -272,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # optimal_code checks this too, but only after the graph is built
+        if "time_limit" in args and not args.time_limit >= 0:
+            raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
         return args.func(args)
     except CapExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)

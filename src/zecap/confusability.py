@@ -9,7 +9,8 @@ Distinguishability of two inputs is decided by a joint forward DP instead of
 materializing both output sets. The DP tracks the set of reachable output run
 states; the pair is confusable iff a state survives to the final step.
 confusable_dp runs it for one pair and stays as the reference; the
-exhaustive output-set enumerator is the slow one for tests.
+exhaustive output-set enumerator `tests/oracles.enumerate_outputs` is the
+slow one for tests.
 
 confusable_rows runs the same DP bit-parallel over a set of words, for the
 graph (all length-n words) and code verification alike: one walk of the

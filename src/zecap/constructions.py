@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .codesearch import Code
-from .errors import CapExceededError
 from .sequences import ENUMERATION_CAP, Bits, all_sequences, contains_run, run_steps
 
 
@@ -44,8 +43,6 @@ def forbidden_run_code(n: int, run_bound: int, *, max_n: int = ENUMERATION_CAP) 
         raise ValueError("block length must be >= 1")
     if run_bound < 2:
         raise ValueError("run bound must be >= 2")
-    if n > max_n:
-        raise CapExceededError(f"enumerating length {n} exceeds cap {max_n}")
     words = [x for x in all_sequences(n, max_n=max_n) if not contains_run(x, run_bound)]
     return Code.from_words(words, n=n)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import zecap
 from zecap import pairwise_block_code, write_code_file, ChannelParams
 from zecap.confusability import GRAPH_CAP
 from zecap.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -275,11 +278,86 @@ def test_module_entry_point_runs():
     assert payload["value"] == pytest.approx(0.694242, abs=1e-6)
 
 
-def test_finite_length_rates_refuses_past_cap():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "finite_length_rates.py"
+def test_rates_refuses_past_cap(capsys, monkeypatch):
+    monkeypatch.delenv("ZECAP_MAX_N", raising=False)
     n = str(GRAPH_CAP + 1)
-    result = run_child(str(script), "--k1", "1", "--k2", "5", "--n-min", n, "--n-max", n)
-    assert result.returncode == 4
-    assert result.stdout == "n,size,rate_bits,optimal,family_lower,family_upper\n"
-    assert result.stderr.startswith("refused: ")
-    assert len(result.stderr.splitlines()) == 1
+    status, out, err = run_cli(
+        capsys, "rates", "--k1", "1", "--k2", "5", "--n-min", n, "--n-max", n
+    )
+    assert status == 4
+    assert out == "n,size,rate_bits,optimal,family_lower,family_upper\n"
+    assert err.startswith("refused: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_rates_cap_env_override(capsys, monkeypatch):
+    argv = ("rates", "--k1", "2", "--k2", "1", "--n-min", "4", "--n-max", "4")
+    monkeypatch.setenv("ZECAP_MAX_N", "3")
+    status, _, err = run_cli(capsys, *argv)
+    assert status == 4
+    assert "refused" in err
+    monkeypatch.setenv("ZECAP_MAX_N", "4")
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert out == "n,size,rate_bits,optimal\n4,4,0.5,1\n"
+
+
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_rates_rejects_a_bad_time_limit(capsys, monkeypatch, limit):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the limit was checked")
+
+    monkeypatch.setattr("zecap.cli.build_graph", no_graph)
+    status, out, err = run_cli(
+        capsys, "rates", "--k1", "1", "--k2", "4", "--n-max", "4", "--time-limit", limit
+    )
+    assert status == 2
+    assert out == ""
+    assert "time limit" in err
+
+
+def test_rates_csv_with_family_counts(capsys):
+    status, out, err = run_cli(capsys, "rates", "--k1", "1", "--k2", "4", "--n-max", "4")
+    assert status == 0
+    assert out == (
+        "n,size,rate_bits,optimal,family_lower,family_upper\n"
+        "1,2,1,1,2,2\n"
+        "2,4,1,1,4,4\n"
+        "3,8,1,1,6,8\n"
+        "4,14,0.951838730514,1,10,14\n"
+    )
+    assert err == ""
+
+
+def test_rates_timeout_marks_rows_and_refuses(capsys):
+    status, out, err = run_cli(
+        capsys, "rates", "--k1", "1", "--k2", "4", "--n-min", "8", "--n-max", "9",
+        "--time-limit", "0",
+    )
+    assert status == 4
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("8", "0"), ("9", "0")]
+    assert err.splitlines() == [
+        "n=8: search timed out, size is a lower bound",
+        "n=9: search timed out, size is a lower bound",
+    ]
+
+
+def readme_commands():
+    """Argument lists of every `zecap ...` line in the README's sh blocks."""
+    commands, in_sh = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("zecap "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ZECAP_MAX_N", raising=False)
+    commands = readme_commands()
+    assert "rates" in [argv[0] for argv in commands]
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -2,6 +2,7 @@ import pytest
 
 from zecap import (
     Bits,
+    CapExceededError,
     ChannelParams,
     all_sequences,
     contains_pattern,
@@ -15,6 +16,7 @@ from zecap import (
     pairwise_block_code,
     verify_code,
 )
+from zecap.sequences import ENUMERATION_CAP
 
 
 def words(code):
@@ -40,6 +42,11 @@ def test_forbidden_run_code_examples():
     assert len(code_3_3) == 6
     assert "000" not in words(code_3_3) and "111" not in words(code_3_3)
     assert len(forbidden_run_code(4, 3)) == 10
+
+
+def test_forbidden_run_code_refuses_past_enumeration_cap():
+    with pytest.raises(CapExceededError):
+        forbidden_run_code(ENUMERATION_CAP + 1, 3)
 
 
 def brute_count_forbidden_run(n, run_bound):
