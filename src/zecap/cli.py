@@ -131,6 +131,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
+    if not 1 <= args.n_min <= args.n_max:
+        raise ValueError("need 1 <= n-min <= n-max")
     with_families = args.k1 == 1 and args.k2 >= 4
     print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
     status = EXIT_OK
@@ -208,8 +210,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> int:
+    rows = bounds_table(args.start, args.stop)
     print("k1,lower_bits,upper_bits")
-    for k1, lower, upper in bounds_table(args.start, args.stop):
+    for k1, lower, upper in rows:
         print(f"{k1},{lower:.12g},{upper:.12g}")
     return EXIT_OK
 

@@ -6,8 +6,11 @@ reduction rules preserve the exact optimum: a vertex with no neighbour left
 is always taken, and when N[u] is a subset of N[v] the vertex v is dropped,
 since any code using v can swap v for u (the graph form of the
 codeword-replacement rule). One reduction of the whole graph leaves a
-kernel; each connected component of the kernel is then solved on its own,
-reducing again at every search node. One deadline covers every phase.
+kernel; it sweeps the vertices by ascending degree, since a low-degree u
+dominates the most and removing its neighbours early shrinks every later
+step. Each connected component of the kernel is then solved on its own,
+reducing again, in label order, at every search node. One deadline covers
+every phase.
 """
 
 from __future__ import annotations
@@ -98,20 +101,31 @@ def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) ->
     return Code.from_words([w for w in code.words if w != x] + [x_new], n=code.n)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask as single-bit masks, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low
+
+
 def _reduce(
-    rows: tuple[int, ...], cand: int, chosen: int, deadline: float
+    rows: tuple[int, ...],
+    cand: int,
+    chosen: int,
+    deadline: float,
+    order: list[int] | None = None,
 ) -> tuple[int, int] | None:
     """Move isolated candidates into `chosen`, drop dominated ones, to a fixed point.
 
-    Returns the new (cand, chosen), or None when the deadline passes first.
+    A pass sweeps the candidates by the vertex indices in `order`, or in
+    label order when it is None. Returns the new (cand, chosen), or None
+    when the deadline passes first.
     """
     changed = True
     while changed:
         changed = False
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
+        for low in _bits(cand) if order is None else (1 << u for u in order):
             if not low & cand:
                 continue
             if time.monotonic() >= deadline:
@@ -131,6 +145,11 @@ def _reduce(
                     cu ^= v
                     changed = True
     return cand, chosen
+
+
+def _degree_order(rows: tuple[int, ...]) -> list[int]:
+    """Vertex indices by ascending degree, ties in label order."""
+    return sorted(range(len(rows)), key=lambda u: rows[u].bit_count())
 
 
 def _component(rows: tuple[int, ...], cand: int) -> int:
@@ -154,7 +173,8 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
     value is False when the deadline passed; the mask is then the best set
     found so far, possibly empty.
     """
-    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline)
+    # low-degree vertices dominate the most, so the root sweep takes them first
+    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, _degree_order(rows))
     if reduced is None:
         return 0, False
     rest, found = reduced

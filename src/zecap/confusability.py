@@ -17,13 +17,20 @@ graph (all length-n words) and code verification alike: one walk of the
 set's trie, as input a, carries per joint state (b input run state, output
 run state) the union bitmask of the ranks of the words b whose prefix
 reaches it; appending a symbol to b ANDs that mask with the ranks having
-that symbol at that depth.
+that symbol at that depth. The walk reads a cached joint table built from
+the two `run_steps` tables, mapping (a's symbol and whether it breaks an
+input run, joint state, b's symbol) straight to the next joint states.
+
+build_graph walks only the words that start with 0. Complementing x and y
+together keeps the channel law, so the row of word N-1-i is the row of
+word i read backwards over N bits; the other half is mirrored byte by byte.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams
@@ -168,52 +175,92 @@ class ConfusabilityGraph:
         return "\n".join(lines) + "\n"
 
 
-def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Iterator[int]:
-    """Yield, in rank order, the rank bitmask of the words each word is confusable with.
+@cache
+def _joint_steps(k1: int, k2: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The joint (b run state, y run state) moves, read off `run_steps`.
 
-    Rank r is the r-th smallest of the words' length-n labels, a repeat is
-    confusable with its copies, and a consumer may stop early. A trie node
-    covers ranks [lo, hi) and maps (b run state, y run state) to a rank mask.
+    A joint state is b_state * len(run_steps(k2)) + y_state. The entry
+    table[2 * free_a + s_a][2 * joint + s_b] holds the joint states after a
+    reads s_a (free_a: it breaks an input run) and b reads s_b: one per
+    output symbol both words allow.
     """
-    labels = sorted(labels)
-    steps_in, steps_out = run_steps(params.k1), run_steps(params.k2)
+    steps_in, steps_out = run_steps(k1), run_steps(k2)
+    table = []
+    for free_a in (False, True):
+        for s_a in (0, 1):
+            moves = []
+            for b_state in range(len(steps_in)):
+                for step in steps_out:
+                    out_a = 3 if free_a or step[s_a][1] else 1 << s_a
+                    for s_b, (b_next, free_b) in enumerate(steps_in[b_state]):
+                        out_b = 3 if free_b or step[s_b][1] else 1 << s_b
+                        joint = out_a & out_b
+                        moves.append(
+                            tuple(
+                                b_next * len(steps_out) + step[y][0]
+                                for y in (0, 1)
+                                if joint >> y & 1
+                            )
+                        )
+            table.append(tuple(moves))
+    return tuple(table)
+
+
+def _rows_below(
+    params: ChannelParams, n: int, labels: list[int], stop: int
+) -> Iterator[int]:
+    """confusable_rows over sorted labels, for the ranks below `stop` only."""
+    steps_in = run_steps(params.k1)
+    table = _joint_steps(params.k1, params.k2)
     full = (1 << len(labels)) - 1
     words = [format(label, f"0{n}b") for label in reversed(labels)]
     # per depth, the ranks whose symbol there is 0 and those where it is 1
     columns = [(full ^ ones, ones) for ones in (int("".join(c), 2) for c in zip(*words))]
-    stack = [(0, 0, len(labels), 0, {(0, 0): full})] if labels else []
+    stack = [(0, 0, len(labels), 0, {0: full})] if labels else []
     while stack:
         depth, lo, hi, a_state, states = stack.pop()
         if depth == n:
             row = 0
             for mask in states.values():
                 row |= mask
-            yield from (row & ~(1 << rank) for rank in range(lo, hi))
+            yield from (row & ~(1 << rank) for rank in range(lo, min(hi, stop)))
             continue
+        zeros, ones = columns[depth]
         moves = []  # the b side does not depend on a's next symbol
-        for (b_state, y_state), mask in states.items():
-            step = steps_out[y_state]
-            for s_b, column in enumerate(columns[depth]):
-                if moved := mask & column:
-                    b_next, free_b = steps_in[b_state][s_b]
-                    out_b = 3 if free_b or step[s_b][1] else 1 << s_b
-                    moves.append((step, out_b, b_next, moved))
+        for joint, mask in states.items():
+            if moved := mask & zeros:
+                moves.append((2 * joint, moved))
+            if moved := mask & ones:
+                moves.append((2 * joint + 1, moved))
         shift = n - 1 - depth
         split = bisect_left(labels, (labels[lo] >> shift | 1) << shift, lo, hi)
         for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
-            if child_lo == child_hi:
+            if child_lo == child_hi or child_lo >= stop:
                 continue
             a_next, free_a = steps_in[a_state][s_a]
-            nxt: dict[tuple[int, int], int] = {}
-            for step, out_b, b_next, moved in moves:
-                out_a = 3 if free_a or step[s_a][1] else 1 << s_a
-                joint = out_a & out_b
-                for y in (0, 1):
-                    if joint >> y & 1:
-                        key = (b_next, step[y][0])
-                        nxt[key] = nxt.get(key, 0) | moved
+            joint_steps = table[2 * free_a + s_a]
+            nxt: dict[int, int] = {}
+            for index, moved in moves:
+                for key in joint_steps[index]:
+                    nxt[key] = nxt.get(key, 0) | moved
             # b = a keeps the deterministic trace alive, so nxt is never empty
             stack.append((depth + 1, child_lo, child_hi, a_next, nxt))
+
+
+def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Iterator[int]:
+    """Yield, in rank order, the rank bitmask of the words each word is confusable with.
+
+    Rank r is the r-th smallest of the words' length-n labels, a repeat is
+    confusable with its copies, and a consumer may stop early. A trie node
+    covers ranks [lo, hi) and maps a joint (b run state, y run state) to a
+    rank mask.
+    """
+    labels = sorted(labels)
+    yield from _rows_below(params, n, labels, len(labels))
+
+
+# each byte with its eight bits in reverse order
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
 def build_graph(
@@ -224,5 +271,17 @@ def build_graph(
         raise ValueError("block length must be >= 1")
     if n > max_n:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
-    rows = tuple(confusable_rows(params, n, range(1 << n)))
+    labels = list(range(1 << n))
+    if n < 3:  # fewer than 8 vertices: no whole byte to mirror
+        rows = tuple(_rows_below(params, n, labels, len(labels)))
+    else:
+        # complementing x and y together keeps the channel law, so word
+        # N-1-i has the row of word i read backwards over N bits
+        half = list(_rows_below(params, n, labels, len(labels) // 2))
+        width = len(labels) // 8
+        mirrored = (
+            int.from_bytes(row.to_bytes(width, "little").translate(_REVERSED_BITS), "big")
+            for row in reversed(half)
+        )
+        rows = (*half, *mirrored)
     return ConfusabilityGraph(params=params, n=n, rows=rows)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .codesearch import Code
-from .sequences import ENUMERATION_CAP, Bits, all_sequences, contains_run, run_steps
+from .errors import CapExceededError
+from .sequences import ENUMERATION_CAP, Bits, run_steps
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,26 @@ def pairwise_block_code(n: int) -> Code:
 
 
 def forbidden_run_code(n: int, run_bound: int, *, max_n: int = ENUMERATION_CAP) -> Code:
-    """All length-n sequences whose every run is shorter than run_bound."""
+    """All length-n sequences whose every run is shorter than run_bound.
+
+    Grown one symbol at a time with each word's trailing run, so only the
+    family's own words are ever built, in lexicographic order.
+    """
     if n < 1:
         raise ValueError("block length must be >= 1")
     if run_bound < 2:
         raise ValueError("run bound must be >= 2")
-    words = [x for x in all_sequences(n, max_n=max_n) if not contains_run(x, run_bound)]
-    return Code.from_words(words, n=n)
+    if n > max_n:
+        raise CapExceededError(f"forbidden-run code of length {n} exceeds cap {max_n}")
+    level = [("0", 1), ("1", 1)]
+    for _ in range(n - 1):
+        level = [
+            (word + symbol, run + 1 if symbol == word[-1] else 1)
+            for word, run in level
+            for symbol in "01"
+            if symbol != word[-1] or run + 1 < run_bound
+        ]
+    return Code(n=n, words=tuple(Bits(word) for word, _ in level))
 
 
 def forbidden_run_counts(run_bound: int, n_max: int) -> CountTable:

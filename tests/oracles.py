@@ -1,9 +1,18 @@
 """Brute-force reference implementations, deliberately independent of the
 paths they check: output sets by scanning every candidate output through the
 step transition probabilities, code validity by the pairwise DP over every
-pair of words, and maximum independent sets by subset enumeration."""
+pair of words, maximum independent sets by subset enumeration, and the
+forbidden-run family by filtering every sequence."""
 
-from zecap import Bits, ChannelParams, Code, all_sequences, confusable_dp, transition_prob
+from zecap import (
+    Bits,
+    ChannelParams,
+    Code,
+    all_sequences,
+    confusable_dp,
+    contains_run,
+    transition_prob,
+)
 
 
 def enumerate_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
@@ -50,3 +59,8 @@ def brute_mis_size(rows: list[int]) -> int:
         if independent and mask.bit_count() > best:
             best = mask.bit_count()
     return best
+
+
+def forbidden_run_words(n: int, run_bound: int) -> list[Bits]:
+    """Every length-n sequence with no run of run_bound equal symbols, in order."""
+    return [x for x in all_sequences(n) if not contains_run(x, run_bound)]

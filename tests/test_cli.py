@@ -253,6 +253,13 @@ def test_bounds_table_csv(capsys):
     assert float(first[2]) == pytest.approx(0.694242, abs=1e-6)
 
 
+def test_bounds_table_bad_range_prints_nothing(capsys):
+    status, out, err = run_cli(capsys, "bounds-table", "--from", "3", "--to", "2")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_missing_code_file_is_usage_error(capsys):
     status, _, err = run_cli(capsys, "verify", "--code", "/nonexistent/code.txt")
     assert status == 2
@@ -288,6 +295,16 @@ def test_rates_refuses_past_cap(capsys, monkeypatch):
     assert out == "n,size,rate_bits,optimal,family_lower,family_upper\n"
     assert err.startswith("refused: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_min, n_max", [("0", "4"), ("5", "4")])
+def test_rates_bad_range_prints_nothing(capsys, n_min, n_max):
+    status, out, err = run_cli(
+        capsys, "rates", "--k1", "1", "--k2", "4", "--n-min", n_min, "--n-max", n_max
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_rates_cap_env_override(capsys, monkeypatch):

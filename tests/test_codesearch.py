@@ -24,6 +24,7 @@ from zecap import (
     verify_code,
     write_code_file,
 )
+from zecap.codesearch import _degree_order
 
 from oracles import brute_mis_size, pairwise_valid
 
@@ -203,14 +204,28 @@ def test_optimal_code_matches_brute_on_random_graphs(graph):
 
 
 def test_optimal_code_kernel_with_edges():
-    # at n=12 reduction leaves 20 vertices with 26 edges among them; at n=13
-    # it leaves four components of 10, 10, 27 and 27 vertices
-    params = ChannelParams(3, 7)
-    for n, size in ((12, 426), (13, 666)):
+    cases = (
+        # reduction leaves 20 vertices with 26 edges among them
+        (3, 7, 12, 426),
+        # four components of 10, 10, 27 and 27 vertices
+        (3, 7, 13, 666),
+        (2, 6, 14, 36),
+    )
+    for k1, k2, n, size in cases:
+        params = ChannelParams(k1, k2)
         result = optimal_code(build_graph(params, n))
         assert result.optimal
         assert result.size == size
         assert verify_code(params, result.witness)
+
+
+def test_root_sweep_takes_low_degrees_first():
+    graph = build_graph(ChannelParams(2, 6), 6)
+    order = _degree_order(graph.rows)
+    assert sorted(order) == list(range(graph.vertex_count))
+    degrees = [graph.degree(u) for u in order]
+    assert degrees == sorted(degrees)
+    assert degrees[0] < degrees[-1]
 
 
 def test_optimal_code_closes_disjoint_cycles():

@@ -195,6 +195,17 @@ def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
         assert row == sum(1 << s for s in partners)
 
 
+def test_mirrored_graph_matches_the_full_walk():
+    # build_graph walks only the words starting with 0 and mirrors the rest
+    # by complement, from n = 3 (N = 8) on; n < 3 covers the plain walk
+    for k1 in range(1, 6):
+        for k2 in range(1, 6):
+            params = ChannelParams(k1, k2)
+            for n in range(1, 10):
+                full = tuple(confusable_rows(params, n, range(1 << n)))
+                assert build_graph(params, n).rows == full
+
+
 def test_graph_symmetric_and_irreflexive():
     graph = build_graph(ChannelParams(2, 2), 5)
     for i in range(graph.vertex_count):

@@ -6,7 +6,6 @@ from zecap import (
     ChannelParams,
     all_sequences,
     contains_pattern,
-    contains_run,
     count_forbidden_run,
     count_no_run_break,
     forbidden_run_code,
@@ -17,6 +16,8 @@ from zecap import (
     verify_code,
 )
 from zecap.sequences import ENUMERATION_CAP
+
+from oracles import forbidden_run_words
 
 
 def words(code):
@@ -49,8 +50,16 @@ def test_forbidden_run_code_refuses_past_enumeration_cap():
         forbidden_run_code(ENUMERATION_CAP + 1, 3)
 
 
+@pytest.mark.parametrize("run_bound", [2, 3, 4, 5, 6])
+def test_forbidden_run_code_matches_filtered_enumeration(run_bound):
+    for n in range(1, 15):
+        code = forbidden_run_code(n, run_bound)
+        assert code.n == n
+        assert list(code.words) == forbidden_run_words(n, run_bound)
+
+
 def brute_count_forbidden_run(n, run_bound):
-    return sum(1 for x in all_sequences(n) if not contains_run(x, run_bound))
+    return len(forbidden_run_words(n, run_bound))
 
 
 def brute_count_no_run_break(n, k2):
