@@ -9,7 +9,9 @@ codeword-replacement rule). One reduction of the whole graph leaves a
 kernel; it sweeps the vertices by ascending degree, since a low-degree u
 dominates the most and removing its neighbours early shrinks every later
 step. Each connected component of the kernel is then solved on its own,
-reducing again, in label order, at every search node. One deadline covers
+reducing again, in label order, at every search node, and branching on the
+candidate with the most neighbours among the candidates (ties to the lowest
+label), whose inclusion removes the most candidates. One deadline covers
 every phase.
 """
 
@@ -169,9 +171,10 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
 
     Each component of the reduced graph is searched on its own stack. A node
     is cut when its chosen set and all its candidates cannot beat the best,
-    and otherwise branches on its lowest candidate, taken or not. The second
-    value is False when the deadline passed; the mask is then the best set
-    found so far, possibly empty.
+    and otherwise branches on the candidate with the most neighbours among
+    the candidates, ties to the lowest label, taken or not. The second value
+    is False when the deadline passed; the mask is then the best set found
+    so far, possibly empty.
     """
     # low-degree vertices dominate the most, so the root sweep takes them first
     reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, _degree_order(rows))
@@ -193,7 +196,7 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
             if not cand:
                 best = chosen
                 continue
-            low = cand & -cand
+            low = max(_bits(cand), key=lambda v: (rows[v.bit_length() - 1] & cand).bit_count())
             # the include child is pushed last, so it is searched first
             stack.append((cand ^ low, chosen))
             stack.append((cand & ~(rows[low.bit_length() - 1] | low), chosen | low))

@@ -21,6 +21,13 @@ that symbol at that depth. The walk reads a cached joint table built from
 the two `run_steps` tables, mapping (a's symbol and whether it breaks an
 input run, joint state, b's symbol) straight to the next joint states.
 
+The walk stops SUFFIX symbols short of the leaves. A cached suffix table,
+a DP over suffix length on the joint table, gives for a's state, a's last
+SUFFIX symbols and a joint state the set of b-suffixes that can still share
+an output from there. Each word's row is then finished at once: its
+node's masks are grouped by that set, and each group is ANDed with the
+ranks whose last SUFFIX symbols fall in the set.
+
 build_graph walks only the words that start with 0. Complementing x and y
 together keeps the channel law, so the row of word N-1-i is the row of
 word i read backwards over N bits; the other half is mirrored byte by byte.
@@ -39,6 +46,8 @@ from .sequences import Bits, run_steps
 
 OUTPUT_ENUMERATION_CAP = 20
 GRAPH_CAP = 14
+# symbols each confusability row is finished with from `_suffix_sets`
+SUFFIX = 3
 
 
 @dataclass(frozen=True)
@@ -206,24 +215,86 @@ def _joint_steps(k1: int, k2: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(table)
 
 
+@cache
+def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Which b-suffixes can still share an output with a given a-suffix.
+
+    table[a_state][sigma][joint] is the bitmask, over the `length`-symbol
+    b-suffixes beta read as labels, of those for which some output survives
+    when a reads sigma from a_state while b reads beta from the joint state
+    (b run state, y run state). Built by a DP over the suffix length: the
+    first symbol of sigma and of beta moves both by `_joint_steps`, the rest
+    is looked up one length shorter.
+    """
+    steps_in = run_steps(k1)
+    moves = _joint_steps(k1, k2)
+    joints = range(len(steps_in) * len(run_steps(k2)))
+    # length 0: the empty b-suffix survives from every joint state
+    table = [((1,) * len(joints),)] * len(steps_in)
+    for done in range(length):
+        shorter, table = table, []
+        for a_state in range(len(steps_in)):
+            by_sigma = []
+            for sigma in range(2 << done):
+                s_a = sigma >> done
+                a_next, free_a = steps_in[a_state][s_a]
+                reach = shorter[a_next][sigma ^ s_a << done]  # sigma past its first symbol
+                step = moves[2 * free_a + s_a]
+                kinds = []
+                for joint in joints:
+                    kind = 0
+                    for s_b in (0, 1):
+                        for key in step[2 * joint + s_b]:
+                            kind |= reach[key] << (s_b << done)
+                    kinds.append(kind)
+                by_sigma.append(tuple(kinds))
+            table.append(tuple(by_sigma))
+    return tuple(table)
+
+
 def _rows_below(
     params: ChannelParams, n: int, labels: list[int], stop: int
 ) -> Iterator[int]:
     """confusable_rows over sorted labels, for the ranks below `stop` only."""
+    if not labels:
+        return
     steps_in = run_steps(params.k1)
     table = _joint_steps(params.k1, params.k2)
+    length = min(SUFFIX, n)
+    suffix_sets = _suffix_sets(params.k1, params.k2, length)
     full = (1 << len(labels)) - 1
     words = [format(label, f"0{n}b") for label in reversed(labels)]
     # per depth, the ranks whose symbol there is 0 and those where it is 1
     columns = [(full ^ ones, ones) for ones in (int("".join(c), 2) for c in zip(*words))]
-    stack = [(0, 0, len(labels), 0, {0: full})] if labels else []
+    # the ranks whose last `length` symbols read beta, per beta
+    by_suffix = []
+    for beta in range(1 << length):
+        mask = full
+        for depth in range(n - length, n):
+            mask &= columns[depth][beta >> (n - 1 - depth) & 1]
+        by_suffix.append(mask)
+    unions: dict[int, int] = {}  # per set of b-suffixes, the ranks ending in one
+    stack = [(0, 0, len(labels), 0, {0: full})]
     while stack:
         depth, lo, hi, a_state, states = stack.pop()
-        if depth == n:
-            row = 0
-            for mask in states.values():
-                row |= mask
-            yield from (row & ~(1 << rank) for rank in range(lo, min(hi, stop)))
+        if depth == n - length:
+            kinds_of = suffix_sets[a_state]
+            for rank in range(lo, min(hi, stop)):
+                kinds = kinds_of[labels[rank] & ((1 << length) - 1)]
+                acc: dict[int, int] = {}
+                for joint, mask in states.items():
+                    if kind := kinds[joint]:
+                        acc[kind] = acc.get(kind, 0) | mask
+                row = 0
+                for kind, mask in acc.items():
+                    if (union := unions.get(kind)) is None:
+                        union = 0
+                        for beta in range(1 << length):
+                            if kind >> beta & 1:
+                                union |= by_suffix[beta]
+                        unions[kind] = union
+                    row |= mask & union
+                yield row & ~(1 << rank)
             continue
         zeros, ones = columns[depth]
         moves = []  # the b side does not depend on a's next symbol

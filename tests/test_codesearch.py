@@ -210,6 +210,8 @@ def test_optimal_code_kernel_with_edges():
         # four components of 10, 10, 27 and 27 vertices
         (3, 7, 13, 666),
         (2, 6, 14, 36),
+        # reduction leaves 1,144 vertices in 982 components
+        (3, 7, 14, 1050),
     )
     for k1, k2, n, size in cases:
         params = ChannelParams(k1, k2)

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,8 @@ from zecap import (
     output_membership,
     possible_outputs,
 )
-from zecap.confusability import confusable_rows
+from zecap.confusability import _joint_steps, _suffix_sets, confusable_rows
+from zecap.sequences import run_steps
 
 from oracles import brute_confusable, enumerate_outputs
 
@@ -193,6 +194,29 @@ def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
             s for s, other in enumerate(ranked) if s != r and confusable_dp(params, word, other)
         )
         assert row == sum(1 << s for s in partners)
+
+
+def test_suffix_sets_match_a_walk_of_the_joint_steps():
+    # the suffix table against the joint moves applied one symbol at a time
+    for k1 in range(1, 5):
+        for k2 in range(1, 5):
+            steps_in, moves = run_steps(k1), _joint_steps(k1, k2)
+            joints = len(steps_in) * len(run_steps(k2))
+            for length in range(4):
+                table = _suffix_sets(k1, k2, length)
+                for a_state, sigma, joint in product(
+                    range(len(steps_in)), range(1 << length), range(joints)
+                ):
+                    expected = 0
+                    for beta in range(1 << length):
+                        state, alive = a_state, {joint}
+                        for depth in reversed(range(length)):
+                            s_a, s_b = sigma >> depth & 1, beta >> depth & 1
+                            state, free_a = steps_in[state][s_a]
+                            step = moves[2 * free_a + s_a]
+                            alive = {key for j in alive for key in step[2 * j + s_b]}
+                        expected |= bool(alive) << beta
+                    assert table[a_state][sigma][joint] == expected
 
 
 def test_mirrored_graph_matches_the_full_walk():
