@@ -196,6 +196,7 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
             if not cand:
                 best = chosen
                 continue
+            # counting inside every _reduce pass instead measured no faster at (3,7) n=16
             low = max(_bits(cand), key=lambda v: (rows[v.bit_length() - 1] & cand).bit_count())
             # the include child is pushed last, so it is searched first
             stack.append((cand ^ low, chosen))
@@ -219,14 +220,9 @@ def optimal_code(
         raise ValueError(f"time limit must be >= 0 or None, got {time_limit}")
     deadline = inf if time_limit is None else time.monotonic() + time_limit
     mask, completed = _max_independent(graph.rows, deadline)
-    mask = mask or 1
-    words = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        words.append(graph.sequence(low.bit_length() - 1))
     # ascending labels are already the lexicographic order Code stores
-    witness = Code(n=graph.n, words=tuple(words))
+    words = tuple(graph.sequence(low.bit_length() - 1) for low in _bits(mask or 1))
+    witness = Code(n=graph.n, words=words)
     return SearchResult(size=len(witness), witness=witness, optimal=completed)
 
 

@@ -28,9 +28,10 @@ an output from there. Each word's row is then finished at once: its
 node's masks are grouped by that set, and each group is ANDed with the
 ranks whose last SUFFIX symbols fall in the set.
 
-build_graph walks only the words that start with 0. Complementing x and y
-together keeps the channel law, so the row of word N-1-i is the row of
-word i read backwards over N bits; the other half is mirrored byte by byte.
+build_graph takes the first half of confusable_rows, the words that start
+with 0. Complementing x and y together keeps the channel law, so the row of
+word N-1-i is the row of word i read backwards over N bits; the other half
+is mirrored byte by byte.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams
@@ -167,13 +169,8 @@ class ConfusabilityGraph:
         return sum(row.bit_count() for row in self.rows) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows):
-            row >>= i + 1
-            j = i + 1
-            while row:
-                low = row & -row
-                yield i, j + low.bit_length() - 1
-                row ^= low
+        for i in range(self.vertex_count):
+            yield from ((i, j) for j in self.neighbors(i) if j > i)
 
     def adjacency_text(self) -> str:
         """One line per vertex: `i: j1 j2 ...` (neighbors ascending)."""
@@ -252,10 +249,15 @@ def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], 
     return tuple(table)
 
 
-def _rows_below(
-    params: ChannelParams, n: int, labels: list[int], stop: int
-) -> Iterator[int]:
-    """confusable_rows over sorted labels, for the ranks below `stop` only."""
+def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Iterator[int]:
+    """Yield, in rank order, the rank bitmask of the words each word is confusable with.
+
+    Rank r is the r-th smallest of the words' length-n labels, a repeat is
+    confusable with its copies, and a consumer may stop early. A trie node
+    covers ranks [lo, hi) and maps a joint (b run state, y run state) to a
+    rank mask.
+    """
+    labels = sorted(labels)
     if not labels:
         return
     steps_in = run_steps(params.k1)
@@ -273,13 +275,17 @@ def _rows_below(
         for depth in range(n - length, n):
             mask &= columns[depth][beta >> (n - 1 - depth) & 1]
         by_suffix.append(mask)
-    unions: dict[int, int] = {}  # per set of b-suffixes, the ranks ending in one
+    # per set of b-suffixes, the ranks ending in one of them
+    unions = [0] * (1 << (1 << length))
+    for kind in range(1, len(unions)):
+        low = kind & -kind
+        unions[kind] = unions[kind ^ low] | by_suffix[low.bit_length() - 1]
     stack = [(0, 0, len(labels), 0, {0: full})]
     while stack:
         depth, lo, hi, a_state, states = stack.pop()
         if depth == n - length:
             kinds_of = suffix_sets[a_state]
-            for rank in range(lo, min(hi, stop)):
+            for rank in range(lo, hi):
                 kinds = kinds_of[labels[rank] & ((1 << length) - 1)]
                 acc: dict[int, int] = {}
                 for joint, mask in states.items():
@@ -287,13 +293,7 @@ def _rows_below(
                         acc[kind] = acc.get(kind, 0) | mask
                 row = 0
                 for kind, mask in acc.items():
-                    if (union := unions.get(kind)) is None:
-                        union = 0
-                        for beta in range(1 << length):
-                            if kind >> beta & 1:
-                                union |= by_suffix[beta]
-                        unions[kind] = union
-                    row |= mask & union
+                    row |= mask & unions[kind]
                 yield row & ~(1 << rank)
             continue
         zeros, ones = columns[depth]
@@ -306,7 +306,7 @@ def _rows_below(
         shift = n - 1 - depth
         split = bisect_left(labels, (labels[lo] >> shift | 1) << shift, lo, hi)
         for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
-            if child_lo == child_hi or child_lo >= stop:
+            if child_lo == child_hi:
                 continue
             a_next, free_a = steps_in[a_state][s_a]
             joint_steps = table[2 * free_a + s_a]
@@ -316,18 +316,6 @@ def _rows_below(
                     nxt[key] = nxt.get(key, 0) | moved
             # b = a keeps the deterministic trace alive, so nxt is never empty
             stack.append((depth + 1, child_lo, child_hi, a_next, nxt))
-
-
-def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Iterator[int]:
-    """Yield, in rank order, the rank bitmask of the words each word is confusable with.
-
-    Rank r is the r-th smallest of the words' length-n labels, a repeat is
-    confusable with its copies, and a consumer may stop early. A trie node
-    covers ranks [lo, hi) and maps a joint (b run state, y run state) to a
-    rank mask.
-    """
-    labels = sorted(labels)
-    yield from _rows_below(params, n, labels, len(labels))
 
 
 # each byte with its eight bits in reverse order
@@ -342,17 +330,13 @@ def build_graph(
         raise ValueError("block length must be >= 1")
     if n > max_n:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
-    labels = list(range(1 << n))
-    if n < 3:  # fewer than 8 vertices: no whole byte to mirror
-        rows = tuple(_rows_below(params, n, labels, len(labels)))
-    else:
-        # complementing x and y together keeps the channel law, so word
-        # N-1-i has the row of word i read backwards over N bits
-        half = list(_rows_below(params, n, labels, len(labels) // 2))
-        width = len(labels) // 8
+    rows = confusable_rows(params, n, range(1 << n))
+    if n >= 3:  # from 8 vertices on, mirror whole bytes (module docstring)
+        half = tuple(islice(rows, 1 << (n - 1)))
+        width = 1 << (n - 3)
         mirrored = (
             int.from_bytes(row.to_bytes(width, "little").translate(_REVERSED_BITS), "big")
             for row in reversed(half)
         )
         rows = (*half, *mirrored)
-    return ConfusabilityGraph(params=params, n=n, rows=rows)
+    return ConfusabilityGraph(params=params, n=n, rows=tuple(rows))

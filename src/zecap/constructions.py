@@ -25,10 +25,12 @@ class CountTable:
 def pairwise_block_code(n: int) -> Code:
     """All concatenations of 00/11 blocks; odd lengths get a free first symbol.
 
-    Size 2^ceil(n/2).
+    Size 2^ceil(n/2); lengths past 2 * ENUMERATION_CAP (over 2^24 words) are refused.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
+    if n > 2 * ENUMERATION_CAP:
+        raise CapExceededError(f"pairwise code of length {n} exceeds cap {2 * ENUMERATION_CAP}")
     prefixes = ("",) if n % 2 == 0 else ("0", "1")
     words = [
         Bits(head + "".join(blocks))

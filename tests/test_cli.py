@@ -143,6 +143,17 @@ def test_construct_pairwise(capsys, tmp_path):
     assert lines[1:] == ["0000", "0011", "1100", "1111"]
 
 
+def test_construct_pairwise_refuses_past_cap(capsys, tmp_path):
+    out_file = tmp_path / "pairwise.txt"
+    status, out, err = run_cli(
+        capsys, "construct", "pairwise", "--n", "49", "--out", str(out_file)
+    )
+    assert status == 4
+    assert out == ""
+    assert err.startswith("refused: ")
+    assert not out_file.exists()
+
+
 def test_construct_forbidden_run(capsys, tmp_path):
     out_file = tmp_path / "runs.txt"
     status, out, _ = run_cli(

@@ -50,6 +50,12 @@ def test_forbidden_run_code_refuses_past_enumeration_cap():
         forbidden_run_code(ENUMERATION_CAP + 1, 3)
 
 
+def test_pairwise_block_code_refuses_past_twice_the_enumeration_cap():
+    # 2^ceil(n/2) words: n = 49 would build 2^25 of them
+    with pytest.raises(CapExceededError):
+        pairwise_block_code(2 * ENUMERATION_CAP + 1)
+
+
 @pytest.mark.parametrize("run_bound", [2, 3, 4, 5, 6])
 def test_forbidden_run_code_matches_filtered_enumeration(run_bound):
     for n in range(1, 15):
