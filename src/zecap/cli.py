@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from math import log2
 
 from .capacity import CapacityResult, bounds_table, capacity, lambda_root, omega_root
@@ -18,6 +19,7 @@ from .channel import ChannelParams
 from .codesearch import (
     DEFAULT_TIME_LIMIT,
     Code,
+    SearchResult,
     optimal_code,
     rate,
     read_code_file,
@@ -108,10 +110,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _search(params: ChannelParams, n: int, time_limit: float) -> SearchResult:
+    """build_graph then optimal_code, with the time limit counted from before the build."""
+    start = time.monotonic()
+    graph = build_graph(params, n, max_n=_graph_cap())
+    return optimal_code(graph, time_limit=max(0.0, time_limit - (time.monotonic() - start)))
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
-    graph = build_graph(params, args.n, max_n=_graph_cap())
-    result = optimal_code(graph, time_limit=args.time_limit)
+    result = _search(params, args.n, args.time_limit)
     witness_file = args.witness_file
     if witness_file:
         write_code_file(witness_file, params, result.witness)
@@ -137,8 +145,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
     status = EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
-        graph = build_graph(params, n, max_n=_graph_cap())
-        result = optimal_code(graph, time_limit=args.time_limit)
+        result = _search(params, n, args.time_limit)
         row = f"{n},{result.size},{rate(n, result.size):.12g},{int(result.optimal)}"
         if with_families:
             row += f",{count_forbidden_run(n, args.k2 - 1)},{count_no_run_break(n, args.k2)}"

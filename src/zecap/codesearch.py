@@ -5,14 +5,23 @@ The search is branch and reduce on the big-int confusability rows. Its two
 reduction rules preserve the exact optimum: a vertex with no neighbour left
 is always taken, and when N[u] is a subset of N[v] the vertex v is dropped,
 since any code using v can swap v for u (the graph form of the
-codeword-replacement rule). One reduction of the whole graph leaves a
-kernel; it sweeps the vertices by ascending degree, since a low-degree u
-dominates the most and removing its neighbours early shrinks every later
-step. Each connected component of the kernel is then solved on its own,
-reducing again, in label order, at every search node, and branching on the
-candidate with the most neighbours among the candidates (ties to the lowest
-label), whose inclusion removes the most candidates. One deadline covers
-every phase.
+codeword-replacement rule). The vertices u dominates are the intersection
+of N[w] over w in N[u], so the rule ANDs those closed rows, stops once only
+u is left, and drops the rest at once. One reduction of the whole graph
+leaves a kernel; it sweeps the vertices by ascending degree, since a
+low-degree u dominates the most and removing its neighbours early shrinks
+every later step. Each connected component of the kernel is then solved on
+its own, reducing again, in label order, at every search node, and
+branching on the candidate with the most neighbours among the candidates
+(ties to the lowest label), whose inclusion removes the most candidates.
+One deadline covers every phase.
+
+A graph from build_graph maps onto itself under the complement
+i -> 2^n-1-i. Its root sweep then visits only the words that start with 0
+and applies each take and drop to the complements as well, so the kernel
+stays closed under the complement; a kernel component apart from its mirror
+is searched once and its best set mirrored. Any other graph takes the plain
+path.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from collections.abc import Iterable, Iterator
 from math import inf, log2
 
 from .channel import ChannelParams
-from .confusability import ConfusabilityGraph, confusable_rows
+from .confusability import ConfusabilityGraph, confusable_rows, mirror
 from .confusability import output_membership, possible_outputs
 from .errors import PreconditionError
 from .sequences import Bits
@@ -117,13 +126,18 @@ def _reduce(
     chosen: int,
     deadline: float,
     order: list[int] | None = None,
+    n: int | None = None,
 ) -> tuple[int, int] | None:
     """Move isolated candidates into `chosen`, drop dominated ones, to a fixed point.
 
     A pass sweeps the candidates by the vertex indices in `order`, or in
-    label order when it is None. Returns the new (cand, chosen), or None
+    label order when it is None. With n given, the rows and `cand` are
+    closed under the complement i -> 2^n-1-i: every take and drop is applied
+    to the complements too, so `order` need only hold the words that start
+    with 0, and `cand` stays closed. Returns the new (cand, chosen), or None
     when the deadline passes first.
     """
+    last = 0 if n is None else (1 << n) - 1
     changed = True
     while changed:
         changed = False
@@ -132,20 +146,25 @@ def _reduce(
                 continue
             if time.monotonic() >= deadline:
                 return None
-            neighbors = rows[low.bit_length() - 1] & cand
-            if not neighbors:
-                chosen |= low
-                cand ^= low
+            u = low.bit_length() - 1
+            closed = rows[u] & cand | low
+            twin = 0 if n is None else 1 << (last - u)
+            if closed == low:
+                chosen |= low | twin
+                cand ^= low | twin
                 continue
-            cu = neighbors | low
-            while neighbors:
-                v = neighbors & -neighbors
-                neighbors ^= v
-                # N[u] within N[v]: v is the only member of N[u] outside N(v)
-                if cu & ~rows[v.bit_length() - 1] == v:
-                    cand ^= v
-                    cu ^= v
-                    changed = True
+            # u dominates v iff v lies in N[w] for every w in N[u]
+            dominated = closed
+            for w in _bits(closed ^ low):
+                dominated &= rows[w.bit_length() - 1] | w
+                if dominated == low:
+                    break
+            # u and its complement may be twins, each dominating the other,
+            # and dropping both would lose the optimum
+            dominated &= ~(low | twin)
+            if dominated:
+                cand &= ~(dominated if n is None else dominated | mirror(dominated, n))
+                changed = True
     return cand, chosen
 
 
@@ -166,24 +185,33 @@ def _component(rows: tuple[int, ...], cand: int) -> int:
     return comp
 
 
-def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]:
+def _max_independent(
+    rows: tuple[int, ...], deadline: float, n: int | None = None
+) -> tuple[int, bool]:
     """Largest independent set of the graph, as a bitmask in vertex labels.
 
-    Each component of the reduced graph is searched on its own stack. A node
-    is cut when its chosen set and all its candidates cannot beat the best,
-    and otherwise branches on the candidate with the most neighbours among
-    the candidates, ties to the lowest label, taken or not. The second value
-    is False when the deadline passed; the mask is then the best set found
-    so far, possibly empty.
+    With n given the graph is closed under the complement over n-bit labels
+    (see `_reduce`), and so is the reduced graph: a component apart from its
+    mirror is searched alone, and its best set mirrored into the other. Each
+    component is searched on its own stack. A node is cut when its chosen
+    set and all its candidates cannot beat the best, and otherwise branches
+    on the candidate with the most neighbours among the candidates, ties to
+    the lowest label, taken or not. The second value is False when the
+    deadline passed; the mask is then the best set found so far, possibly
+    empty.
     """
     # low-degree vertices dominate the most, so the root sweep takes them first
-    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, _degree_order(rows))
+    order = _degree_order(rows if n is None else rows[: len(rows) // 2])
+    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, order, n)
     if reduced is None:
         return 0, False
     rest, found = reduced
     while rest:
         comp = _component(rows, rest)
-        rest ^= comp
+        twin = 0 if n is None else mirror(comp, n)
+        if twin & comp:
+            twin = 0
+        rest &= ~(comp | twin)
         best = 0
         stack = [(comp, 0)]
         while stack:
@@ -201,6 +229,8 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
             # the include child is pushed last, so it is searched first
             stack.append((cand ^ low, chosen))
             stack.append((cand & ~(rows[low.bit_length() - 1] | low), chosen | low))
+        if twin:
+            best |= mirror(best, n)
         found |= best
     return found, True
 
@@ -219,7 +249,7 @@ def optimal_code(
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 or None, got {time_limit}")
     deadline = inf if time_limit is None else time.monotonic() + time_limit
-    mask, completed = _max_independent(graph.rows, deadline)
+    mask, completed = _max_independent(graph.rows, deadline, graph.n if graph.mirrored else None)
     # ascending labels are already the lexicographic order Code stores
     words = tuple(graph.sequence(low.bit_length() - 1) for low in _bits(mask or 1))
     witness = Code(n=graph.n, words=words)

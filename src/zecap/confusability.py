@@ -30,14 +30,15 @@ ranks whose last SUFFIX symbols fall in the set.
 
 build_graph takes the first half of confusable_rows, the words that start
 with 0. Complementing x and y together keeps the channel law, so the row of
-word N-1-i is the row of word i read backwards over N bits; the other half
-is mirrored byte by byte.
+word N-1-i is the row of word i read backwards over N bits; `mirror` makes
+the other half byte by byte, and the graph records that its rows are
+mirrored so that the code search can use the same symmetry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from collections.abc import Iterable, Iterator
@@ -144,6 +145,9 @@ class ConfusabilityGraph:
     params: ChannelParams
     n: int
     rows: tuple[int, ...]
+    # set by build_graph alone: row N-1-i is `mirror(rows[i], n)`, which lets
+    # optimal_code reduce one half and mirror its takes and drops
+    mirrored: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def vertex_count(self) -> int:
@@ -322,6 +326,13 @@ def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Ite
 _REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
+def mirror(mask: int, n: int) -> int:
+    """A bitmask over the 2^n labels with bit i moved to bit 2^n-1-i, its complement."""
+    if n < 3:  # under 8 labels: move them to the top of one byte
+        return mirror(mask << 8 - (1 << n), 3)
+    return int.from_bytes(mask.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BITS), "big")
+
+
 def build_graph(
     params: ChannelParams, n: int, *, max_n: int = GRAPH_CAP
 ) -> ConfusabilityGraph:
@@ -330,13 +341,8 @@ def build_graph(
         raise ValueError("block length must be >= 1")
     if n > max_n:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
-    rows = confusable_rows(params, n, range(1 << n))
-    if n >= 3:  # from 8 vertices on, mirror whole bytes (module docstring)
-        half = tuple(islice(rows, 1 << (n - 1)))
-        width = 1 << (n - 3)
-        mirrored = (
-            int.from_bytes(row.to_bytes(width, "little").translate(_REVERSED_BITS), "big")
-            for row in reversed(half)
-        )
-        rows = (*half, *mirrored)
-    return ConfusabilityGraph(params=params, n=n, rows=tuple(rows))
+    half = tuple(islice(confusable_rows(params, n, range(1 << n)), 1 << (n - 1)))
+    rows = (*half, *(mirror(row, n) for row in reversed(half)))
+    graph = ConfusabilityGraph(params=params, n=n, rows=rows)
+    object.__setattr__(graph, "mirrored", True)  # frozen: the one place it is set
+    return graph

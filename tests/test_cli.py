@@ -3,12 +3,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import zecap
-from zecap import pairwise_block_code, write_code_file, ChannelParams
+from zecap import build_graph, optimal_code, pairwise_block_code, write_code_file, ChannelParams
 from zecap.confusability import GRAPH_CAP
 from zecap.cli import main
 
@@ -342,6 +343,41 @@ def test_rates_rejects_a_bad_time_limit(capsys, monkeypatch, limit):
     assert status == 2
     assert out == ""
     assert "time limit" in err
+
+
+BUILD_SECONDS = 0.2
+
+
+@pytest.mark.parametrize(
+    "argv, searches",
+    [
+        (["search", "--k1", "2", "--k2", "1", "--n", "4"], 1),
+        (["rates", "--k1", "2", "--k2", "1", "--n-min", "3", "--n-max", "4"], 2),
+    ],
+)
+@pytest.mark.parametrize("limit", [10.0, BUILD_SECONDS / 2])
+def test_time_limit_covers_the_graph_build(capsys, monkeypatch, argv, searches, limit):
+    limits = []
+
+    def slow_build(*args, **kwargs):
+        time.sleep(BUILD_SECONDS)
+        return build_graph(*args, **kwargs)
+
+    def recording_search(graph, *, time_limit):
+        limits.append(time_limit)
+        return optimal_code(graph, time_limit=time_limit)
+
+    monkeypatch.setattr("zecap.cli.build_graph", slow_build)
+    monkeypatch.setattr("zecap.cli.optimal_code", recording_search)
+    status, _, _ = run_cli(capsys, *argv, "--time-limit", str(limit))
+    assert len(limits) == searches
+    if limit > BUILD_SECONDS:
+        assert status == 0
+        assert all(limit - 1.0 < left <= limit - BUILD_SECONDS for left in limits)
+    else:
+        # a build that outlasts the limit leaves the search no time at all
+        assert status == 4
+        assert limits == [0.0] * searches
 
 
 def test_rates_csv_with_family_counts(capsys):

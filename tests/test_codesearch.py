@@ -210,7 +210,8 @@ def test_optimal_code_kernel_with_edges():
         # four components of 10, 10, 27 and 27 vertices
         (3, 7, 13, 666),
         (2, 6, 14, 36),
-        # reduction leaves 1,144 vertices in 982 components
+        # reduction leaves 168 vertices in 6 components: 10, 27 and 47
+        # vertices, each beside its mirror
         (3, 7, 14, 1050),
     )
     for k1, k2, n, size in cases:
@@ -219,6 +220,74 @@ def test_optimal_code_kernel_with_edges():
         assert result.optimal
         assert result.size == size
         assert verify_code(params, result.witness)
+
+
+def plain_copy(graph):
+    """The same rows in a hand-built graph, which takes the plain search path."""
+    return ConfusabilityGraph(graph.params, graph.n, graph.rows)
+
+
+def marked_mirrored(n, rows):
+    """A hand-built graph closed under the complement, marked as build_graph marks its own."""
+    graph = ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows))
+    object.__setattr__(graph, "mirrored", True)
+    return graph
+
+
+def test_mirrored_search_matches_the_plain_path():
+    for k1 in range(1, 7):
+        for k2 in range(1, 7):
+            params = ChannelParams(k1, k2)
+            for n in range(1, 11):
+                graph = build_graph(params, n)
+                assert graph.mirrored
+                mirrored, plain = optimal_code(graph), optimal_code(plain_copy(graph))
+                assert mirrored.optimal and plain.optimal
+                assert mirrored.size == plain.size, (k1, k2, n)
+                assert verify_code(params, mirrored.witness)
+                assert verify_code(params, plain.witness)
+
+
+def test_mirrored_search_keeps_one_of_adjacent_twin_complements():
+    # over 16 labels, complement i -> 15 - i: 0 and 15 are adjacent twins, a
+    # 5-cycle on 1..5 is apart from its mirror on 10..14, and the 4-cycle
+    # 6-7-9-8 is its own mirror; the optimum takes 1 + 2 + 2 + 2 words
+    edges = [(0, 15), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (6, 7), (7, 9), (9, 8), (8, 6)]
+    rows = [0] * 16
+    for u, v in edges + [(15 - u, 15 - v) for u, v in edges]:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    graph = marked_mirrored(4, rows)
+    assert brute_mis_size(rows) == 7
+    for g in (graph, plain_copy(graph)):
+        result = optimal_code(g)
+        assert result.optimal
+        assert result.size == 7
+        assert_independent(g, result.witness)
+
+
+def test_mirrored_search_matches_the_plain_path_on_complement_closed_graphs():
+    # the kernels of build_graph at k1, k2 <= 6 and n <= 10 are empty; these
+    # seeded graphs, with fewer edges between the halves that start with 0
+    # and with 1, leave kernels with components apart from their mirrors
+    # (18 here) and components that are their own mirror (29)
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.choice((3, 4, 5))
+        density = rng.choice((0.15, 0.3, 0.5))
+        cross = density * rng.choice((0, 0.25, 1))
+        count = 1 << n
+        rows = [0] * count
+        for u, v in combinations(range(count), 2):
+            if rng.random() < (density if u ^ v < count // 2 else cross):
+                for a, b in ((u, v), (count - 1 - u, count - 1 - v)):
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+        graph = marked_mirrored(n, rows)
+        mirrored, plain = optimal_code(graph), optimal_code(plain_copy(graph))
+        assert mirrored.optimal and plain.optimal
+        assert mirrored.size == plain.size
+        assert_independent(graph, mirrored.witness)
 
 
 def test_root_sweep_takes_low_degrees_first():

@@ -221,8 +221,7 @@ def test_suffix_sets_match_a_walk_of_the_joint_steps():
 
 def test_mirrored_graph_matches_the_full_walk():
     # build_graph stops confusable_rows after the words starting with 0 and
-    # mirrors the rest by complement, from n = 3 (N = 8) on; n < 3 keeps
-    # every row of the walk
+    # mirrors the rest by complement, at every n
     for k1 in range(1, 6):
         for k2 in range(1, 6):
             params = ChannelParams(k1, k2)
