@@ -8,14 +8,21 @@ previous k2-1 outputs are all equal and the current input differs
 
 Probabilities are exact rationals from {0, 1/2, 1}; zero-error analysis
 only ever needs the support.
+
+The functions below are the readable spec. Every fast path reads the same
+law from one cached finite-state table instead, `channel_steps(k1, k2)`:
+the channel state is the input run state and the output run state of
+`sequences.run_steps`, and the table says which output symbols each state
+allows and where it moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .sequences import Bits
+from .sequences import Bits, run_steps
 
 
 @dataclass(frozen=True)
@@ -88,3 +95,25 @@ def transition_prob(
         raise ValueError("output symbol must be 0 or 1")
     support = step_outputs(params, x_prefix, y_prefix)
     return Fraction(1, len(support)) if y_t in support else Fraction(0)
+
+
+@cache
+def channel_steps(k1: int, k2: int) -> tuple[tuple[int | None, ...], ...]:
+    """The channel as a finite-state machine, read off two `run_steps` tables.
+
+    A state is x_state * len(run_steps(k2)) + y_state, the input and output
+    run states, and 0 is the empty history. table[state][2 * x_t + y_t] is
+    the state after input x_t gives output y_t, or None when y_t is
+    impossible: y_t may differ from x_t only if x_t breaks a run.
+    """
+    steps_in, steps_out = run_steps(k1), run_steps(k2)
+    return tuple(
+        tuple(
+            None if y_t != x_t and not breaks and not y_step[x_t][1]
+            else x_next * len(steps_out) + y_step[y_t][0]
+            for x_t, (x_next, breaks) in enumerate(x_step)
+            for y_t in (0, 1)
+        )
+        for x_step in steps_in
+        for y_step in steps_out
+    )

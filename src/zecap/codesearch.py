@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 from math import inf, log2
 
-from .channel import ChannelParams
+from .channel import ChannelParams, channel_steps
 from .confusability import ConfusabilityGraph, confusable_rows, mirror
-from .confusability import output_membership, possible_outputs
 from .errors import PreconditionError
 from .sequences import Bits
 
@@ -98,17 +97,32 @@ def rate(n: int, size: int) -> float:
 def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) -> Code:
     """Swap codeword x for x_new; requires every output of x_new to be one of x's.
 
-    Under that containment the updated set stays a zero-error code.
+    Under that containment the updated set stays a zero-error code. It is
+    checked by one forward pass over the pairs of channel states (x_new's,
+    x's) that a shared output prefix reaches, with no length cap. An output
+    prefix that x_new allows and x does not, followed by the rest of x_new,
+    which is always possible, names an offending output.
     """
     if x not in code:
         raise PreconditionError(f"{x} is not a codeword")
     if len(x_new) != code.n:
         raise ValueError("replacement word has the wrong length")
-    for y in possible_outputs(params, x_new):
-        if not output_membership(params, x, y):
-            raise PreconditionError(
-                f"output {y} of {x_new} is not a possible output of {x}"
-            )
+    table = channel_steps(params.k1, params.k2)
+    level = {(0, 0): ""}  # per pair of states, the first output prefix reaching it
+    for t, (s_new, s_old) in enumerate(zip(x_new, x), 1):
+        nxt: dict[tuple[int, int], str] = {}
+        for (at_new, at_old), y in level.items():
+            for y_t in (0, 1):
+                if (new := table[at_new][2 * s_new + y_t]) is None:
+                    continue
+                y_next = y + "01"[y_t]
+                if (old := table[at_old][2 * s_old + y_t]) is None:
+                    raise PreconditionError(
+                        f"output {y_next}{str(x_new)[t:]} of {x_new} "
+                        f"is not a possible output of {x}"
+                    )
+                nxt.setdefault((new, old), y_next)
+        level = nxt
     return Code.from_words([w for w in code.words if w != x] + [x_new], n=code.n)
 
 

@@ -1,9 +1,10 @@
 """Possible-output sets, pairwise distinguishability, and the confusability graph.
 
-Every path here reads the channel law through one step table,
-`sequences.run_steps`: the only history the law can see is the last symbol
-and its trailing run, capped at span-1, once along the input (k1) and once
-along the output (k2). A table state encodes that pair as a small int.
+Every path here reads the channel law through one cached table,
+`channel.channel_steps`: the only history the law can see is the last
+symbol and its trailing run, capped at span-1, once along the input (k1)
+and once along the output (k2). A table state encodes that pair as a small
+int, and the table says which outputs it allows and where each one leads.
 
 Distinguishability of two inputs is decided by a joint forward DP instead of
 materializing both output sets. The DP tracks the set of reachable output run
@@ -17,9 +18,10 @@ graph (all length-n words) and code verification alike: one walk of the
 set's trie, as input a, carries per joint state (b input run state, output
 run state) the union bitmask of the ranks of the words b whose prefix
 reaches it; appending a symbol to b ANDs that mask with the ranks having
-that symbol at that depth. The walk reads a cached joint table built from
-the two `run_steps` tables, mapping (a's symbol and whether it breaks an
-input run, joint state, b's symbol) straight to the next joint states.
+that symbol at that depth. A joint state is b's `channel_steps` state. The
+walk reads a cached joint table built from `channel_steps`, mapping (a's
+input run state and symbol, joint state, b's symbol) straight to the next
+joint states; a's own input run state moves by `sequences.run_steps`.
 
 The walk stops SUFFIX symbols short of the leaves. A cached suffix table,
 a DP over suffix length on the joint table, gives for a's state, a's last
@@ -43,7 +45,7 @@ from functools import cache
 from itertools import islice
 from collections.abc import Iterable, Iterator
 
-from .channel import ChannelParams
+from .channel import ChannelParams, channel_steps
 from .errors import CapExceededError
 from .sequences import Bits, run_steps
 
@@ -80,17 +82,15 @@ def possible_outputs(
     n = len(x)
     if n > max_n:
         raise CapExceededError(f"output enumeration for length {n} exceeds cap {max_n}")
-    steps_in, steps_out = run_steps(params.k1), run_steps(params.k2)
-    x_state = 0
-    level = [(0, "")]  # (output run state, output prefix) per reachable prefix
+    table = channel_steps(params.k1, params.k2)
+    level = [(0, "")]  # (channel state, output prefix) per reachable prefix
     for x_t in x:
-        x_state, free = steps_in[x_state][x_t]
-        nxt = []
-        for y_state, y in level:
-            step = steps_out[y_state]
-            for y_t in (0, 1) if free or step[x_t][1] else (x_t,):
-                nxt.append((step[y_t][0], y + "01"[y_t]))
-        level = nxt
+        level = [
+            (state, y + "01"[y_t])
+            for at, y in level
+            for y_t in (0, 1)
+            if (state := table[at][2 * x_t + y_t]) is not None
+        ]
     return OutputSet(n, frozenset(Bits(y) for _, y in level))
 
 
@@ -98,39 +98,35 @@ def output_membership(params: ChannelParams, x: Bits, y: Bits) -> bool:
     """True iff y is a possible output for input x. Linear scan, no enumeration."""
     if len(x) != len(y):
         raise ValueError("input and output must have equal length")
-    steps_in, steps_out = run_steps(params.k1), run_steps(params.k2)
-    x_state = y_state = 0
+    table = channel_steps(params.k1, params.k2)
+    state = 0
     for x_t, y_t in zip(x, y):
-        x_state, free = steps_in[x_state][x_t]
-        step = steps_out[y_state]
-        if y_t != x_t and not free and not step[x_t][1]:
+        state = table[state][2 * x_t + y_t]
+        if state is None:
             return False
-        y_state = step[y_t][0]
     return True
 
 
 def confusable_dp(params: ChannelParams, x: Bits, x_other: Bits) -> bool:
     """Decide whether two equal-length inputs share a possible output.
 
-    Forward reachability over shared-output run states; cost O(n * k2).
+    Forward reachability over the pairs of channel states that one shared
+    output prefix reaches; cost O(n * k2).
     """
     if len(x) != len(x_other):
         raise ValueError("inputs must have equal length")
-    steps_in, steps_out = run_steps(params.k1), run_steps(params.k2)
-    a_state = b_state = 0
-    states = {0}
+    table = channel_steps(params.k1, params.k2)
+    states = {(0, 0)}
     for s_a, s_b in zip(x, x_other):
-        a_state, free_a = steps_in[a_state][s_a]
-        b_state, free_b = steps_in[b_state][s_b]
-        nxt = set()
-        for y_state in states:
-            step = steps_out[y_state]
-            out_a = 3 if free_a or step[s_a][1] else 1 << s_a
-            out_b = 3 if free_b or step[s_b][1] else 1 << s_b
-            nxt.update(step[y][0] for y in (0, 1) if (out_a & out_b) >> y & 1)
-        if not nxt:
+        states = {
+            (a_next, b_next)
+            for a, b in states
+            for y in (0, 1)
+            if (a_next := table[a][2 * s_a + y]) is not None
+            and (b_next := table[b][2 * s_b + y]) is not None
+        }
+        if not states:
             return False
-        states = nxt
     return True
 
 
@@ -187,33 +183,29 @@ class ConfusabilityGraph:
 
 @cache
 def _joint_steps(k1: int, k2: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The joint (b run state, y run state) moves, read off `run_steps`.
+    """The joint (b run state, y run state) moves, read off `channel_steps`.
 
-    A joint state is b_state * len(run_steps(k2)) + y_state. The entry
-    table[2 * free_a + s_a][2 * joint + s_b] holds the joint states after a
-    reads s_a (free_a: it breaks an input run) and b reads s_b: one per
-    output symbol both words allow.
+    A joint state is b's `channel_steps` state, and a's state is a_state
+    with the same output run state. The entry
+    table[2 * a_state + s_a][2 * joint + s_b] holds the joint states after
+    a reads s_a and b reads s_b: one per output symbol both words allow.
     """
-    steps_in, steps_out = run_steps(k1), run_steps(k2)
-    table = []
-    for free_a in (False, True):
-        for s_a in (0, 1):
-            moves = []
-            for b_state in range(len(steps_in)):
-                for step in steps_out:
-                    out_a = 3 if free_a or step[s_a][1] else 1 << s_a
-                    for s_b, (b_next, free_b) in enumerate(steps_in[b_state]):
-                        out_b = 3 if free_b or step[s_b][1] else 1 << s_b
-                        joint = out_a & out_b
-                        moves.append(
-                            tuple(
-                                b_next * len(steps_out) + step[y][0]
-                                for y in (0, 1)
-                                if joint >> y & 1
-                            )
-                        )
-            table.append(tuple(moves))
-    return tuple(table)
+    table = channel_steps(k1, k2)
+    y_states = len(run_steps(k2))
+    return tuple(
+        tuple(
+            tuple(
+                b_next
+                for y in (0, 1)
+                if table[a_state * y_states + joint % y_states][2 * s_a + y] is not None
+                and (b_next := table[joint][2 * s_b + y]) is not None
+            )
+            for joint in range(len(table))
+            for s_b in (0, 1)
+        )
+        for a_state in range(len(run_steps(k1)))
+        for s_a in (0, 1)
+    )
 
 
 @cache
@@ -229,7 +221,7 @@ def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], 
     """
     steps_in = run_steps(k1)
     moves = _joint_steps(k1, k2)
-    joints = range(len(steps_in) * len(run_steps(k2)))
+    joints = range(len(channel_steps(k1, k2)))
     # length 0: the empty b-suffix survives from every joint state
     table = [((1,) * len(joints),)] * len(steps_in)
     for done in range(length):
@@ -238,9 +230,9 @@ def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], 
             by_sigma = []
             for sigma in range(2 << done):
                 s_a = sigma >> done
-                a_next, free_a = steps_in[a_state][s_a]
+                a_next = steps_in[a_state][s_a][0]
                 reach = shorter[a_next][sigma ^ s_a << done]  # sigma past its first symbol
-                step = moves[2 * free_a + s_a]
+                step = moves[2 * a_state + s_a]
                 kinds = []
                 for joint in joints:
                     kind = 0
@@ -312,14 +304,13 @@ def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Ite
         for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
             if child_lo == child_hi:
                 continue
-            a_next, free_a = steps_in[a_state][s_a]
-            joint_steps = table[2 * free_a + s_a]
+            joint_steps = table[2 * a_state + s_a]
             nxt: dict[int, int] = {}
             for index, moved in moves:
                 for key in joint_steps[index]:
                     nxt[key] = nxt.get(key, 0) | moved
             # b = a keeps the deterministic trace alive, so nxt is never empty
-            stack.append((depth + 1, child_lo, child_hi, a_next, nxt))
+            stack.append((depth + 1, child_lo, child_hi, steps_in[a_state][s_a][0], nxt))
 
 
 # each byte with its eight bits in reverse order

@@ -1,5 +1,6 @@
 """Binary sequence primitives: 1-based indexing, run and substring tests,
-enumeration, and the run-state step table behind every channel fast path."""
+enumeration, and the run-state step table that `channel.channel_steps` is
+built from."""
 
 from __future__ import annotations
 

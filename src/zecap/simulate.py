@@ -9,26 +9,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .channel import ChannelParams
+from .channel import ChannelParams, channel_steps
 from .codesearch import Code, verify_code
 from .confusability import output_membership
 from .errors import PreconditionError
-from .sequences import Bits, run_steps
+from .sequences import Bits
 
 GENERATOR = "python-random-mt19937/getrandbits"
 MAX_REPORT_EXAMPLES = 10
 
 
 def _sample(params: ChannelParams, x: Bits, rng: random.Random) -> Bits:
-    steps_in, steps_out = run_steps(params.k1), run_steps(params.k2)
+    table = channel_steps(params.k1, params.k2)
     out: list[str] = []
-    x_state = y_state = 0
+    state = 0
     for x_t in x:
-        x_state, free = steps_in[x_state][x_t]
-        step = steps_out[y_state]
-        y_t = rng.getrandbits(1) if free or step[x_t][1] else x_t
+        # a coin only where output 1 - x_t, entry 2 * x_t + 1 - x_t, is possible
+        y_t = rng.getrandbits(1) if table[state][x_t + 1] is not None else x_t
         out.append("01"[y_t])
-        y_state = step[y_t][0]
+        state = table[state][2 * x_t + y_t]
     return Bits("".join(out))
 
 

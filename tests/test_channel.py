@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zecap import Bits, ChannelParams, condition_a, condition_b, step_outputs, transition_prob
+from zecap.channel import channel_steps
 
 prefix_pairs = st.integers(min_value=1, max_value=10).flatmap(
     lambda t: st.tuples(
@@ -110,3 +111,21 @@ def test_simultaneous_conditions_still_fair_coin():
     assert condition_b(params, 1, y_prefix, 3)
     assert transition_prob(params, x_prefix, y_prefix, 0) == Fraction(1, 2)
     assert transition_prob(params, x_prefix, y_prefix, 1) == Fraction(1, 2)
+
+
+def test_channel_steps_match_the_spec():
+    # every (x, y) history of length <= 6 the table reaches allows exactly
+    # the next outputs that step_outputs allows
+    for k1 in range(1, 6):
+        for k2 in range(1, 6):
+            params, table = ChannelParams(k1, k2), channel_steps(k1, k2)
+            stack = [(0, "", "")]
+            while stack:
+                state, x, y = stack.pop()
+                if len(x) == 6:
+                    continue
+                for x_t in (0, 1):
+                    moves = {y_t: table[state][2 * x_t + y_t] for y_t in (0, 1)}
+                    allowed = {y_t for y_t, nxt in moves.items() if nxt is not None}
+                    assert allowed == step_outputs(params, Bits(x + str(x_t)), Bits(y))
+                    stack.extend((moves[y_t], x + str(x_t), y + str(y_t)) for y_t in allowed)

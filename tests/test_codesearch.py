@@ -1,6 +1,7 @@
 import random
+import re
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,44 @@ def test_replace_codeword_requires_membership():
     params = ChannelParams(2, 1)
     with pytest.raises(PreconditionError):
         replace_codeword(params, make_code("00", "11"), Bits("01"), Bits("00"))
+
+
+def test_replace_codeword_agrees_with_output_set_inclusion():
+    # the linear containment pass against enumerated output sets, on every
+    # pair of words; a refusal names an output of x_new that x cannot give
+    for k1, k2 in product(range(1, 5), repeat=2):
+        params = ChannelParams(k1, k2)
+        for n in range(1, 6):
+            words = list(all_sequences(n))
+            outputs = {x: possible_outputs(params, x).members for x in words}
+            for x, x_new in product(words, repeat=2):
+                code = Code.from_words([x])
+                if outputs[x_new] <= outputs[x]:
+                    assert replace_codeword(params, code, x, x_new) == Code.from_words([x_new])
+                    continue
+                with pytest.raises(PreconditionError) as excinfo:
+                    replace_codeword(params, code, x, x_new)
+                named = Bits(re.match(r"output (\S+) of", str(excinfo.value))[1])
+                assert named in outputs[x_new] and named not in outputs[x]
+
+
+def test_replace_codeword_has_no_length_cap():
+    # under (2,1) every step of 0101... breaks an input run, so its outputs
+    # are all the words that start with 0, and 0^40 may replace it
+    params = ChannelParams(2, 1)
+    alternating, zeros, ones = Bits("01" * 20), Bits("0" * 40), Bits("1" * 40)
+    updated = replace_codeword(params, Code.from_words([alternating, ones]), alternating, zeros)
+    assert updated == Code.from_words([zeros, ones])
+    assert verify_code(params, updated)
+    assert replace_codeword(ChannelParams(3, 7), updated, zeros, zeros) == updated
+
+
+def test_replace_codeword_names_a_full_output_past_the_cap():
+    # 0^40 gives only itself; 0101... may output 01 and then copy the rest
+    params = ChannelParams(2, 1)
+    alternating, zeros = Bits("01" * 20), Bits("0" * 40)
+    with pytest.raises(PreconditionError, match=f"output {alternating} of {alternating} "):
+        replace_codeword(params, Code.from_words([zeros]), zeros, alternating)
 
 
 @given(

@@ -212,8 +212,8 @@ def test_suffix_sets_match_a_walk_of_the_joint_steps():
                         state, alive = a_state, {joint}
                         for depth in reversed(range(length)):
                             s_a, s_b = sigma >> depth & 1, beta >> depth & 1
-                            state, free_a = steps_in[state][s_a]
-                            step = moves[2 * free_a + s_a]
+                            step = moves[2 * state + s_a]
+                            state = steps_in[state][s_a][0]
                             alive = {key for j in alive for key in step[2 * j + s_b]}
                         expected |= bool(alive) << beta
                     assert table[a_state][sigma][joint] == expected

@@ -139,6 +139,27 @@ def test_forced_trial_replays_pinned_report():
     assert report.ambiguity_examples[0] == (Bits("001011"), Bits("000111"))
 
 
+def test_forced_forbidden_run_trial_replays_pinned_report():
+    # under (2,4) every codeword of forbidden_run_code(8, 3) can be confused,
+    # so each trial fails; the reported pairs pin the draws across versions
+    report = zero_error_trial(
+        ChannelParams(2, 4), forbidden_run_code(8, 3), 200, seed=1, force=True
+    )
+    assert report.failures == 200
+    assert [(str(sent), str(received)) for sent, received in report.ambiguity_examples] == [
+        ("01001101", "01101110"),
+        ("00101101", "00000101"),
+        ("01101010", "01110011"),
+        ("01101010", "00101000"),
+        ("01101100", "01101111"),
+        ("00110100", "00010000"),
+        ("10011011", "11001011"),
+        ("01101001", "00110000"),
+        ("11001101", "11100100"),
+        ("00101010", "00001000"),
+    ]
+
+
 def test_trial_replay_is_identical():
     params = ChannelParams(4, 4)
     code = forbidden_run_code(8, 3)
