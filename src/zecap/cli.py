@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 2 invalid arguments or inputs, 3 verification or
 precondition failure, 4 cap or timeout refusal. All numbers print with 12
-significant digits; the graph-size cap can be overridden with ZECAP_MAX_N.
+significant digits; every size cap is a module constant, with no override.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from math import log2
@@ -26,7 +25,7 @@ from .codesearch import (
     verify_code,
     write_code_file,
 )
-from .confusability import GRAPH_CAP, build_graph
+from .confusability import build_graph
 from .constructions import (
     count_forbidden_run,
     count_no_run_break,
@@ -53,11 +52,6 @@ def _sig12(x: float) -> float:
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload))
-
-
-def _graph_cap() -> int:
-    env = os.environ.get("ZECAP_MAX_N")
-    return int(env) if env else GRAPH_CAP
 
 
 def _capacity_payload(result: CapacityResult) -> dict:
@@ -99,21 +93,20 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    graph = build_graph(ChannelParams(args.k1, args.k2), args.n, max_n=_graph_cap())
-    text = graph.adjacency_text()
+    graph = build_graph(ChannelParams(args.k1, args.k2), args.n)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(graph.adjacency_lines())
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(graph.adjacency_lines())
     return EXIT_OK
 
 
 def _search(params: ChannelParams, n: int, time_limit: float) -> SearchResult:
     """build_graph then optimal_code, with the time limit counted from before the build."""
     start = time.monotonic()
-    graph = build_graph(params, n, max_n=_graph_cap())
+    graph = build_graph(params, n)
     return optimal_code(graph, time_limit=max(0.0, time_limit - (time.monotonic() - start)))
 
 

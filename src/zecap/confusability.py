@@ -49,8 +49,8 @@ from .channel import ChannelParams, channel_steps
 from .errors import CapExceededError
 from .sequences import Bits, run_steps
 
-OUTPUT_ENUMERATION_CAP = 20
-GRAPH_CAP = 14
+OUTPUT_CAP = 1 << 18
+GRAPH_CAP = 16  # the graph route's whole reach
 # symbols each confusability row is finished with from `_suffix_sets`
 SUFFIX = 3
 
@@ -72,26 +72,25 @@ class OutputSet:
         return len(self.members)
 
 
-def possible_outputs(
-    params: ChannelParams, x: Bits, *, max_n: int = OUTPUT_ENUMERATION_CAP
-) -> OutputSet:
+def possible_outputs(params: ChannelParams, x: Bits) -> OutputSet:
     """All outputs with positive probability, extended one step at a time.
 
-    Output sets can be exponential in len(x); the cap guards enumeration.
+    Output sets can be exponential in len(x); a step from more than
+    OUTPUT_CAP prefixes is refused. The first output symbol never
+    branches, so every x of length <= 20 is admitted.
     """
-    n = len(x)
-    if n > max_n:
-        raise CapExceededError(f"output enumeration for length {n} exceeds cap {max_n}")
     table = channel_steps(params.k1, params.k2)
     level = [(0, "")]  # (channel state, output prefix) per reachable prefix
     for x_t in x:
+        if len(level) > OUTPUT_CAP:
+            raise CapExceededError(f"{len(level)} output prefixes exceed cap {OUTPUT_CAP}")
         level = [
             (state, y + "01"[y_t])
             for at, y in level
             for y_t in (0, 1)
             if (state := table[at][2 * x_t + y_t]) is not None
         ]
-    return OutputSet(n, frozenset(Bits(y) for _, y in level))
+    return OutputSet(len(x), frozenset(Bits(y) for _, y in level))
 
 
 def output_membership(params: ChannelParams, x: Bits, y: Bits) -> bool:
@@ -156,11 +155,11 @@ class ConfusabilityGraph:
         return bool((self.rows[i] >> j) & 1)
 
     def neighbors(self, i: int) -> Iterator[int]:
-        row = self.rows[i]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        bits = f"{self.rows[i]:b}"[::-1]  # bit j at index j
+        j = bits.find("1")
+        while j >= 0:
+            yield j
+            j = bits.find("1", j + 1)
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -172,13 +171,14 @@ class ConfusabilityGraph:
         for i in range(self.vertex_count):
             yield from ((i, j) for j in self.neighbors(i) if j > i)
 
-    def adjacency_text(self) -> str:
-        """One line per vertex: `i: j1 j2 ...` (neighbors ascending)."""
-        lines = []
+    def adjacency_lines(self) -> Iterator[str]:
+        """One line per vertex, formed as it is read: `i: j1 j2 ...` (neighbors ascending)."""
         for i in range(self.vertex_count):
-            neighbors = " ".join(str(j) for j in self.neighbors(i))
-            lines.append(f"{i}: {neighbors}" if neighbors else f"{i}:")
-        return "\n".join(lines) + "\n"
+            neighbors = " ".join(map(str, self.neighbors(i)))
+            yield f"{i}: {neighbors}\n" if neighbors else f"{i}:\n"
+
+    def adjacency_text(self) -> str:
+        return "".join(self.adjacency_lines())
 
 
 @cache
@@ -324,14 +324,12 @@ def mirror(mask: int, n: int) -> int:
     return int.from_bytes(mask.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BITS), "big")
 
 
-def build_graph(
-    params: ChannelParams, n: int, *, max_n: int = GRAPH_CAP
-) -> ConfusabilityGraph:
+def build_graph(params: ChannelParams, n: int) -> ConfusabilityGraph:
     """Materialize the confusability graph over all length-n inputs (ranks = labels)."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    if n > max_n:
-        raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {max_n}")
+    if n > GRAPH_CAP:
+        raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {GRAPH_CAP}")
     half = tuple(islice(confusable_rows(params, n, range(1 << n)), 1 << (n - 1)))
     rows = (*half, *(mirror(row, n) for row in reversed(half)))
     graph = ConfusabilityGraph(params=params, n=n, rows=rows)

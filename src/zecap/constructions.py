@@ -40,7 +40,7 @@ def pairwise_block_code(n: int) -> Code:
     return Code.from_words(words, n=n)
 
 
-def forbidden_run_code(n: int, run_bound: int, *, max_n: int = ENUMERATION_CAP) -> Code:
+def forbidden_run_code(n: int, run_bound: int) -> Code:
     """All length-n sequences whose every run is shorter than run_bound.
 
     Grown one symbol at a time with each word's trailing run, so only the
@@ -50,8 +50,8 @@ def forbidden_run_code(n: int, run_bound: int, *, max_n: int = ENUMERATION_CAP) 
         raise ValueError("block length must be >= 1")
     if run_bound < 2:
         raise ValueError("run bound must be >= 2")
-    if n > max_n:
-        raise CapExceededError(f"forbidden-run code of length {n} exceeds cap {max_n}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"forbidden-run code of length {n} exceeds cap {ENUMERATION_CAP}")
     level = [("0", 1), ("1", 1)]
     for _ in range(n - 1):
         level = [

@@ -105,12 +105,12 @@ def contains_pattern(x: Bits, pattern: Bits) -> bool:
     return str(pattern) in str(x)
 
 
-def all_sequences(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[Bits]:
+def all_sequences(n: int) -> Iterator[Bits]:
     """All 2^n length-n sequences, lexicographic order, each exactly once."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n > max_n:
-        raise CapExceededError(f"enumeration of 2^{n} sequences exceeds cap {max_n}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"enumeration of 2^{n} sequences exceeds cap {ENUMERATION_CAP}")
     for index in range(1 << n):
         yield Bits.from_index(index, n)
 

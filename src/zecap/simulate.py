@@ -1,7 +1,8 @@
 """Seeded channel sampling and the exhaustive zero-error decoder.
 
 Trials replay bit-exactly: the generator identity is recorded in every
-report and per-trial randomness is derived as seed + trial index.
+report and per-trial randomness is derived as seed + trial index. Seeds
+are nonnegative, since random.Random(-s) replays the stream of Random(s).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ def _sample(params: ChannelParams, x: Bits, rng: random.Random) -> Bits:
 
 def sample_output(params: ChannelParams, x: Bits, seed: int) -> Bits:
     """Draw one output sequence for input x; same seed, same output."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return _sample(params, x, random.Random(seed))
 
 
@@ -98,6 +101,8 @@ def zero_error_trial(
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not code.words:
         raise ValueError("code is empty")
     if not force and not verify_code(params, code):

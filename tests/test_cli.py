@@ -66,14 +66,36 @@ def test_graph_adjacency_output(capsys):
     assert out == "0: 1\n1: 0\n2: 3\n3: 2\n"
 
 
-def test_graph_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ZECAP_MAX_N", "3")
-    status, _, err = run_cli(capsys, "graph", "--k1", "2", "--k2", "1", "--n", "4")
-    assert status == 4
-    assert "refused" in err
-    monkeypatch.setenv("ZECAP_MAX_N", "4")
-    status, _, _ = run_cli(capsys, "graph", "--k1", "2", "--k2", "1", "--n", "4")
+def test_graph_out_file_matches_stdout(capsys, tmp_path):
+    argv = ("graph", "--k1", "3", "--k2", "5", "--n", "6")
+    status, out, _ = run_cli(capsys, *argv)
     assert status == 0
+    path = tmp_path / "graph.txt"
+    status, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert status == 0
+    assert err == f"wrote {path}\n"
+    assert path.read_text(encoding="ascii") == out == build_graph(
+        ChannelParams(3, 5), 6
+    ).adjacency_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--k1", "2", "--k2", "6", "--n", "17"),
+        ("search", "--k1", "2", "--k2", "6", "--n", "17"),
+        ("rates", "--k1", "2", "--k2", "6", "--n-min", "17", "--n-max", "17"),
+    ],
+)
+def test_graph_cap_ignores_the_environment(capsys, monkeypatch, argv):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started past the cap")
+
+    monkeypatch.setenv("ZECAP_MAX_N", "20")
+    monkeypatch.setattr("zecap.confusability.confusable_rows", no_walk)
+    status, _, err = run_cli(capsys, *argv)
+    assert status == 4
+    assert err == f"refused: graph over 2^17 vertices exceeds cap {GRAPH_CAP}\n"
 
 
 def test_search_json_and_witness(capsys, tmp_path):
@@ -241,6 +263,17 @@ def test_simulate_verified_code(capsys, tmp_path):
     assert payload["trials"] == 200
 
 
+def test_simulate_negative_seed_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    write_code_file(path, ChannelParams(2, 1), pairwise_block_code(6))
+    status, out, err = run_cli(
+        capsys, "simulate", "--code", str(path), "--trials", "1", "--seed", "-2"
+    )
+    assert status == 2
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -2\n"
+
+
 def test_simulate_refuses_unverified_without_force(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# zecap code n=2 k1=1 k2=2\n00\n01\n")
@@ -297,8 +330,7 @@ def test_module_entry_point_runs():
     assert payload["value"] == pytest.approx(0.694242, abs=1e-6)
 
 
-def test_rates_refuses_past_cap(capsys, monkeypatch):
-    monkeypatch.delenv("ZECAP_MAX_N", raising=False)
+def test_rates_refuses_past_cap(capsys):
     n = str(GRAPH_CAP + 1)
     status, out, err = run_cli(
         capsys, "rates", "--k1", "1", "--k2", "5", "--n-min", n, "--n-max", n
@@ -317,18 +349,6 @@ def test_rates_bad_range_prints_nothing(capsys, n_min, n_max):
     assert status == 2
     assert out == ""
     assert err.startswith("error: ")
-
-
-def test_rates_cap_env_override(capsys, monkeypatch):
-    argv = ("rates", "--k1", "2", "--k2", "1", "--n-min", "4", "--n-max", "4")
-    monkeypatch.setenv("ZECAP_MAX_N", "3")
-    status, _, err = run_cli(capsys, *argv)
-    assert status == 4
-    assert "refused" in err
-    monkeypatch.setenv("ZECAP_MAX_N", "4")
-    status, out, _ = run_cli(capsys, *argv)
-    assert status == 0
-    assert out == "n,size,rate_bits,optimal\n4,4,0.5,1\n"
 
 
 @pytest.mark.parametrize("limit", ["nan", "-1"])
@@ -420,7 +440,6 @@ def readme_commands():
 
 def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("ZECAP_MAX_N", raising=False)
     commands = readme_commands()
     assert "rates" in [argv[0] for argv in commands]
     for argv in commands:

@@ -15,7 +15,13 @@ from zecap import (
     output_membership,
     possible_outputs,
 )
-from zecap.confusability import _joint_steps, _suffix_sets, confusable_rows
+from zecap.confusability import (
+    GRAPH_CAP,
+    OUTPUT_CAP,
+    _joint_steps,
+    _suffix_sets,
+    confusable_rows,
+)
 from zecap.sequences import run_steps
 
 from oracles import brute_confusable, enumerate_outputs
@@ -42,14 +48,17 @@ def test_possible_outputs_examples(k1, k2, x, expected):
 
 
 def test_possible_outputs_cap():
-    with pytest.raises(CapExceededError):
-        possible_outputs(ChannelParams(2, 1), Bits("0101"), max_n=3)
+    # 0101... under (2, 1) doubles its outputs at every step after the first,
+    # so the step to length 21 starts from 2^19 > OUTPUT_CAP prefixes
+    assert OUTPUT_CAP == 1 << 18
+    with pytest.raises(CapExceededError, match=f"exceed cap {OUTPUT_CAP}"):
+        possible_outputs(ChannelParams(2, 1), Bits("01" * 10 + "0"))
 
 
 def test_possible_outputs_past_the_recursion_limit():
-    # a raised cap admits inputs longer than Python's recursion limit
+    # the cap counts outputs, not symbols: a long input with one output passes
     x = Bits("0" * 1500)
-    assert possible_outputs(ChannelParams(2, 1), x, max_n=2000).members == {x}
+    assert possible_outputs(ChannelParams(2, 1), x).members == {x}
 
 
 @given(small_params, st.text(alphabet="01", min_size=1, max_size=7))
@@ -141,9 +150,15 @@ def test_build_graph_n2_examples(k1, k2, expected_edges):
     assert list(graph.edges()) == expected_edges
 
 
-def test_build_graph_cap_and_env_independence():
-    with pytest.raises(CapExceededError):
-        build_graph(ChannelParams(2, 1), 5, max_n=4)
+def test_build_graph_cap_and_env_independence(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started past the cap")
+
+    monkeypatch.setenv("ZECAP_MAX_N", "20")
+    monkeypatch.setattr("zecap.confusability.confusable_rows", no_walk)
+    assert GRAPH_CAP == 16
+    with pytest.raises(CapExceededError, match=f"exceeds cap {GRAPH_CAP}"):
+        build_graph(ChannelParams(2, 1), GRAPH_CAP + 1)
 
 
 def test_graph_matches_pairwise_dp():

@@ -12,7 +12,7 @@ from zecap import (
     contains_pattern,
     contains_run,
 )
-from zecap.sequences import run_steps
+from zecap.sequences import ENUMERATION_CAP, run_steps
 
 bit_strings = st.text(alphabet="01", max_size=24)
 
@@ -104,8 +104,9 @@ def test_all_sequences_complete_and_ordered(n):
 
 
 def test_all_sequences_cap():
-    with pytest.raises(CapExceededError):
-        list(all_sequences(3, max_n=2))
+    with pytest.raises(CapExceededError, match=f"exceeds cap {ENUMERATION_CAP}"):
+        next(all_sequences(ENUMERATION_CAP + 1))
+    assert len(next(all_sequences(ENUMERATION_CAP))) == ENUMERATION_CAP
 
 
 def test_concatenation():

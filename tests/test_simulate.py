@@ -104,6 +104,14 @@ def test_trial_verified_code_never_fails():
     assert report.ambiguity_examples == ()
 
 
+def test_negative_seed_is_refused():
+    # Random(-s) would replay the stream of Random(s)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        sample_output(ChannelParams(2, 1), Bits("0101"), -2)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        zero_error_trial(ChannelParams(2, 1), pairwise_block_code(4), 1, seed=-2)
+
+
 def test_trial_refuses_unverified_code():
     with pytest.raises(PreconditionError):
         zero_error_trial(ChannelParams(1, 2), make_code("00", "01"), 10, seed=0)
