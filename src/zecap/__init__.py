@@ -38,7 +38,7 @@ from .constructions import (
     no_run_break_counts,
     pairwise_block_code,
 )
-from .errors import CapExceededError, PreconditionError, ZecapError
+from .errors import CapExceededError, DeadlineExceededError, PreconditionError, ZecapError
 from .sequences import Bits, all_sequences, contains_pattern, contains_run
 from .simulate import DecodeResult, TrialReport, decode, sample_output, zero_error_trial
 
@@ -52,6 +52,7 @@ __all__ = [
     "Code",
     "ConfusabilityGraph",
     "CountTable",
+    "DeadlineExceededError",
     "DecodeResult",
     "OutputSet",
     "PreconditionError",

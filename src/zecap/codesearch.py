@@ -22,6 +22,12 @@ and applies each take and drop to the complements as well, so the kernel
 stays closed under the complement; a kernel component apart from its mirror
 is searched once and its best set mirrored. Any other graph takes the plain
 path.
+
+verify_code reads confusable_rows over the code's own words and stops at
+the first conflict. A code whose words, repeats counted, are closed under
+the same complement needs only the rows of its words that start with 0,
+the cut build_graph makes; the code decides this itself, in one pass over
+its sorted labels.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ from __future__ import annotations
 import os
 import re
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from math import inf, log2
 
 from .channel import ChannelParams, channel_steps
@@ -78,11 +86,21 @@ class SearchResult:
 
 
 def verify_code(params: ChannelParams, code: Code) -> bool:
-    """True iff every distinct pair of words is distinguishable (a repeat is not)."""
+    """True iff every distinct pair of words is distinguishable (a repeat is not).
+
+    When the labels, as a multiset, are closed under the complement
+    i -> 2^n-1-i, only the rows of the words that start with 0 are read:
+    a confusable pair (a, b) with a starting with 1 has the confusable
+    mirror (a', b') within the code, and a' starts with 0.
+    """
     if any(len(w) != code.n for w in code.words):
         raise ValueError("code words must all have length n")
-    labels = [w.to_index() for w in code.words]
-    return not any(confusable_rows(params, code.n, labels))
+    labels = sorted(w.to_index() for w in code.words)
+    rows = confusable_rows(params, code.n, labels)
+    last = (1 << code.n) - 1
+    if code.n and labels == [last - i for i in reversed(labels)]:
+        rows = islice(rows, bisect_left(labels, 1 << (code.n - 1)))
+    return not any(rows)
 
 
 def rate(n: int, size: int) -> float:
@@ -282,7 +300,11 @@ def write_code_file(path: str | os.PathLike[str], params: ChannelParams, code: C
 
 
 def read_code_file(path: str | os.PathLike[str]) -> tuple[ChannelParams, Code]:
-    """Read a code file written by write_code_file, bit-exact."""
+    """Read a code file written by write_code_file, bit-exact.
+
+    Every listed word is kept, a repeat included, so that verify_code sees
+    the repeat; the words are stored sorted, as Code keeps them.
+    """
     with open(path, encoding="ascii") as fh:
         header = fh.readline()
         match = _HEADER_RE.match(header)
@@ -294,5 +316,6 @@ def read_code_file(path: str | os.PathLike[str]) -> tuple[ChannelParams, Code]:
             line = line.strip()
             if line:
                 words.append(Bits(line))
-    code = Code.from_words(words, n=n)
-    return ChannelParams(k1, k2), code
+    if any(len(w) != n for w in words):
+        raise ValueError(f"{path}: code words must all have length {n}")
+    return ChannelParams(k1, k2), Code(n=n, words=tuple(sorted(words)))

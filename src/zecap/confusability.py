@@ -39,14 +39,16 @@ mirrored so that the code search can use the same symmetry.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
+from math import inf
 from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams, channel_steps
-from .errors import CapExceededError
+from .errors import CapExceededError, DeadlineExceededError
 from .sequences import Bits, run_steps
 
 OUTPUT_CAP = 1 << 18
@@ -324,13 +326,21 @@ def mirror(mask: int, n: int) -> int:
     return int.from_bytes(mask.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BITS), "big")
 
 
-def build_graph(params: ChannelParams, n: int) -> ConfusabilityGraph:
-    """Materialize the confusability graph over all length-n inputs (ranks = labels)."""
+def build_graph(params: ChannelParams, n: int, *, deadline: float = inf) -> ConfusabilityGraph:
+    """Materialize the confusability graph over all length-n inputs (ranks = labels).
+
+    The walk checks `deadline`, a `time.monotonic()` reading, after each
+    row and raises DeadlineExceededError once it has passed.
+    """
     if n < 1:
         raise ValueError("block length must be >= 1")
     if n > GRAPH_CAP:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {GRAPH_CAP}")
-    half = tuple(islice(confusable_rows(params, n, range(1 << n)), 1 << (n - 1)))
+    half = []
+    for row in islice(confusable_rows(params, n, range(1 << n)), 1 << (n - 1)):
+        if time.monotonic() >= deadline:
+            raise DeadlineExceededError(f"graph build stopped after {len(half)} rows")
+        half.append(row)
     rows = (*half, *(mirror(row, n) for row in reversed(half)))
     graph = ConfusabilityGraph(params=params, n=n, rows=rows)
     object.__setattr__(graph, "mirrored", True)  # frozen: the one place it is set

@@ -10,7 +10,7 @@ import pytest
 
 import zecap
 from zecap import build_graph, optimal_code, pairwise_block_code, write_code_file, ChannelParams
-from zecap.confusability import GRAPH_CAP
+from zecap.confusability import GRAPH_CAP, confusable_rows
 from zecap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -238,6 +238,14 @@ def test_verify_invalid_code(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_verify_counts_a_listed_repeat(capsys, tmp_path):
+    path = tmp_path / "repeat.txt"
+    path.write_text("# zecap code n=4 k1=2 k2=1\n0000\n0000\n1111\n")
+    status, out, _ = run_cli(capsys, "verify", "--code", str(path))
+    assert status == 3
+    assert json.loads(out) == {"schema_version": 1, "valid": False, "size": 3, "n": 4}
+
+
 def test_verify_search_witness(capsys, tmp_path):
     witness = tmp_path / "w.txt"
     status, out, _ = run_cli(
@@ -390,14 +398,34 @@ def test_time_limit_covers_the_graph_build(capsys, monkeypatch, argv, searches, 
     monkeypatch.setattr("zecap.cli.build_graph", slow_build)
     monkeypatch.setattr("zecap.cli.optimal_code", recording_search)
     status, _, _ = run_cli(capsys, *argv, "--time-limit", str(limit))
-    assert len(limits) == searches
     if limit > BUILD_SECONDS:
         assert status == 0
+        assert len(limits) == searches
         assert all(limit - 1.0 < left <= limit - BUILD_SECONDS for left in limits)
     else:
-        # a build that outlasts the limit leaves the search no time at all
+        # a build that outlasts the limit stops, and no search starts
         assert status == 4
-        assert limits == [0.0] * searches
+        assert limits == []
+
+
+def test_time_limit_stops_the_graph_build(capsys, monkeypatch):
+    read = []
+
+    def counted_rows(*args):
+        for row in confusable_rows(*args):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr("zecap.confusability.confusable_rows", counted_rows)
+    status, out, err = run_cli(
+        capsys, "search", "--k1", "2", "--k2", "6", "--n", "14", "--time-limit", "0"
+    )
+    assert status == 4
+    assert json.loads(out)["size"] == 1
+    assert json.loads(out)["optimal"] is False
+    assert "timed out" in err
+    # the walk stops at its first check, not after the 2^13 rows of the half graph
+    assert 1 <= len(read) <= 2
 
 
 def test_rates_csv_with_family_counts(capsys):

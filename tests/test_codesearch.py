@@ -16,6 +16,7 @@ from zecap import (
     all_sequences,
     build_graph,
     confusable_dp,
+    forbidden_run_code,
     optimal_code,
     output_membership,
     possible_outputs,
@@ -26,6 +27,7 @@ from zecap import (
     write_code_file,
 )
 from zecap.codesearch import _degree_order
+from zecap.confusability import confusable_rows
 
 from oracles import brute_mis_size, pairwise_valid
 
@@ -100,6 +102,11 @@ def test_verify_code_empty_and_single_word():
     params = ChannelParams(3, 3)
     assert verify_code(params, Code(n=5, words=()))
     assert verify_code(params, make_code("01101"))
+    # at n = 0 every code is closed under the complement, with no half to cut
+    empty = Bits("")
+    assert verify_code(params, Code(n=0, words=()))
+    assert verify_code(params, Code(n=0, words=(empty,)))
+    assert verify_code(params, Code(n=0, words=(empty, empty))) is False
 
 
 def test_verify_code_rejects_words_of_the_wrong_length():
@@ -126,6 +133,92 @@ def test_verify_code_past_the_recursion_limit():
         assert len(code) == 3
         assert pairwise_valid(params, code) is expected
         assert verify_code(params, code) is expected
+
+
+def closed_code(n, labels):
+    """The code holding each label and its complement, repeats kept."""
+    last = (1 << n) - 1
+    labels = sorted(labels + [last - i for i in labels])
+    return Code(n=n, words=tuple(Bits.from_index(i, n) for i in labels))
+
+
+def counting_rows(monkeypatch):
+    """Patch verify_code's walk to count the rows it reads."""
+    read = []
+
+    def rows(*args):
+        for row in confusable_rows(*args):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr("zecap.codesearch.confusable_rows", rows)
+    return read
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=9),
+    st.data(),
+)
+def test_verify_code_matches_pairwise_oracle_on_complement_closed_codes(k1, k2, n, data):
+    params = ChannelParams(k1, k2)
+    last = (1 << n) - 1
+    kept = []
+    for i in data.draw(st.lists(st.integers(0, last), min_size=1, max_size=8)):
+        pair = (Bits.from_index(i, n), Bits.from_index(last - i, n))
+        # the pair itself differs in the first symbol, so it is never confusable
+        if all(not confusable_dp(params, x, w) for x in pair for w in kept):
+            kept.extend(pair)
+    labels = [w.to_index() for w in kept[::2]]
+    if data.draw(st.booleans()):
+        # an output of a codeword, read as an input, shares that output with it
+        x = data.draw(st.sampled_from(kept))
+        y = data.draw(st.sampled_from(sorted(possible_outputs(params, x).members)))
+        labels.append(y.to_index())
+    if data.draw(st.booleans()):
+        labels.append(data.draw(st.sampled_from(labels)))
+    code = closed_code(n, labels)
+    assert verify_code(params, code) is pairwise_valid(params, code)
+
+
+def test_verify_code_reads_half_the_rows_of_a_complement_closed_code(monkeypatch):
+    params = ChannelParams(4, 4)
+    code = forbidden_run_code(8, 3)
+    read = counting_rows(monkeypatch)
+    assert verify_code(params, code)
+    assert len(read) == len(code) // 2
+    read.clear()
+    # without its smallest word the code is not closed, so all of it is walked
+    assert verify_code(params, Code(n=8, words=code.words[1:]))
+    assert len(read) == len(code) - 1
+
+
+def test_verify_code_finds_a_one_half_conflict_through_its_mirror(monkeypatch):
+    # words that differ in the first symbol are never confusable, so the
+    # rows of 0110 and 0111 must catch the conflict of 1000 and 1001
+    params = ChannelParams(2, 1)
+    assert confusable_dp(params, Bits("1000"), Bits("1001"))
+    read = counting_rows(monkeypatch)
+    assert verify_code(params, closed_code(4, [0b1000, 0b1001])) is False
+    assert len(read) <= 2
+    # without the mirror half the full walk reads the conflict itself
+    code = Code.from_words([Bits("1000"), Bits("1001")])
+    assert verify_code(params, code) is False
+    assert pairwise_valid(params, code) is False
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_code_sees_repeats_on_both_halves(n):
+    params = ChannelParams(3, 3)
+    word = Bits.from_index((1 << n) - 3, n)  # 11..101, apart from its complement
+    twin = Bits.from_index(2, n)
+    assert not confusable_dp(params, word, twin)
+    assert verify_code(params, Code(n=n, words=(twin, word)))
+    # the repeat and its complement's repeat: closed, caught on the 0-half
+    assert verify_code(params, Code(n=n, words=(twin, twin, word, word))) is False
+    # a repeat on the 1-half alone is not closed as a multiset
+    assert verify_code(params, Code(n=n, words=(twin, word, word))) is False
 
 
 @pytest.mark.parametrize(
@@ -469,4 +562,11 @@ def test_code_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a header\n0000\n")
     with pytest.raises(ValueError):
+        read_code_file(path)
+
+
+def test_code_file_rejects_a_word_of_the_wrong_length(tmp_path):
+    path = tmp_path / "short.txt"
+    path.write_text("# zecap code n=4 k1=2 k2=1\n0000\n011\n")
+    with pytest.raises(ValueError, match="length 4"):
         read_code_file(path)

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import inf
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from zecap import (
     Bits,
     CapExceededError,
     ChannelParams,
+    DeadlineExceededError,
     all_sequences,
     build_graph,
     confusable_dp,
@@ -159,6 +161,13 @@ def test_build_graph_cap_and_env_independence(monkeypatch):
     assert GRAPH_CAP == 16
     with pytest.raises(CapExceededError, match=f"exceeds cap {GRAPH_CAP}"):
         build_graph(ChannelParams(2, 1), GRAPH_CAP + 1)
+
+
+def test_build_graph_honours_its_deadline():
+    params = ChannelParams(2, 3)
+    assert build_graph(params, 8, deadline=inf).rows == build_graph(params, 8).rows
+    with pytest.raises(DeadlineExceededError, match="after 0 rows"):
+        build_graph(params, 8, deadline=0.0)
 
 
 def test_graph_matches_pairwise_dp():
