@@ -23,11 +23,12 @@ stays closed under the complement; a kernel component apart from its mirror
 is searched once and its best set mirrored. Any other graph takes the plain
 path.
 
-verify_code reads confusable_rows over the code's own words and stops at
-the first conflict. A code whose words, repeats counted, are closed under
-the same complement needs only the rows of its words that start with 0,
-the cut build_graph makes; the code decides this itself, in one pass over
-its sorted labels.
+verify_code reads confusable_rows over the code's own words, as sorted
+strings whose lengths it checks first, and stops at the first conflict. A
+code whose words, repeats counted, are closed under the same complement
+needs only the rows of its words that start with 0, the cut build_graph
+makes; one string comparison decides this, the sorted words joined and
+complemented against the same words joined in descending order.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .errors import PreconditionError
 from .sequences import Bits
 
 DEFAULT_TIME_LIMIT = 60.0
+# swaps the symbols of a word: the complement verify_code tests closure under
+_COMPLEMENT = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -88,18 +91,19 @@ class SearchResult:
 def verify_code(params: ChannelParams, code: Code) -> bool:
     """True iff every distinct pair of words is distinguishable (a repeat is not).
 
-    When the labels, as a multiset, are closed under the complement
-    i -> 2^n-1-i, only the rows of the words that start with 0 are read:
-    a confusable pair (a, b) with a starting with 1 has the confusable
-    mirror (a', b') within the code, and a' starts with 0.
+    When the words, as a multiset, are closed under bit complement, only
+    the rows of the words that start with 0 are read: a confusable pair
+    (a, b) with a starting with 1 has the confusable mirror (a', b') within
+    the code, and a' starts with 0.
     """
-    if any(len(w) != code.n for w in code.words):
+    words = sorted(map(str, code.words))
+    if any(len(w) != code.n for w in words):
         raise ValueError("code words must all have length n")
-    labels = sorted(w.to_index() for w in code.words)
-    rows = confusable_rows(params, code.n, labels)
-    last = (1 << code.n) - 1
-    if code.n and labels == [last - i for i in reversed(labels)]:
-        rows = islice(rows, bisect_left(labels, 1 << (code.n - 1)))
+    rows = confusable_rows(params, code.n, words)
+    # complementing every word reverses their order, so a closed multiset
+    # reads, complemented in ascending order, as itself in descending order
+    if "".join(words).translate(_COMPLEMENT) == "".join(reversed(words)):
+        rows = islice(rows, bisect_left(words, "1"))
     return not any(rows)
 
 

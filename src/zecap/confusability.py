@@ -13,28 +13,34 @@ confusable_dp runs it for one pair and stays as the reference; the
 exhaustive output-set enumerator `tests/oracles.enumerate_outputs` is the
 slow one for tests.
 
-confusable_rows runs the same DP bit-parallel over a set of words, for the
-graph (all length-n words) and code verification alike: one walk of the
-set's trie, as input a, carries per joint state (b input run state, output
-run state) the union bitmask of the ranks of the words b whose prefix
-reaches it; appending a symbol to b ANDs that mask with the ranks having
-that symbol at that depth. A joint state is b's `channel_steps` state. The
-walk reads a cached joint table built from `channel_steps`, mapping (a's
-input run state and symbol, joint state, b's symbol) straight to the next
-joint states; a's own input run state moves by `sequences.run_steps`.
+confusable_rows runs the same DP bit-parallel over a set of words, given
+as '0'/'1' strings, for the graph (all length-n words) and code
+verification alike: one walk of the set's trie, as input a, carries per
+joint state (b input run state, output run state) the union bitmask of the
+ranks of the words b whose prefix reaches it; appending a symbol to b ANDs
+that mask with the ranks having that symbol at that depth. Those column
+masks come from one join of the words, highest rank first, sliced every n
+symbols from each depth and read as binary, and a trie node splits where
+its prefix followed by 1 would sort. A joint state is b's `channel_steps`
+state. The walk reads a cached joint table built from `channel_steps`,
+mapping (a's input run state and symbol, joint state, b's symbol) straight
+to the next joint states; a's own input run state moves by
+`sequences.run_steps`.
 
 The walk stops SUFFIX symbols short of the leaves. A cached suffix table,
 a DP over suffix length on the joint table, gives for a's state, a's last
 SUFFIX symbols and a joint state the set of b-suffixes that can still share
 an output from there. Each word's row is then finished at once: its
-node's masks are grouped by that set, and each group is ANDed with the
-ranks whose last SUFFIX symbols fall in the set.
+node's masks are grouped by that set, read off by the word's own last
+SUFFIX symbols, and each group is ANDed with the ranks whose last SUFFIX
+symbols fall in the set.
 
-build_graph takes the first half of confusable_rows, the words that start
-with 0. Complementing x and y together keeps the channel law, so the row of
-word N-1-i is the row of word i read backwards over N bits; `mirror` makes
-the other half byte by byte, and the graph records that its rows are
-mirrored so that the code search can use the same symmetry.
+build_graph feeds confusable_rows every length-n word in label order and
+takes the first half of its rows, the words that start with 0.
+Complementing x and y together keeps the channel law, so the row of word
+N-1-i is the row of word i read backwards over N bits; `mirror` makes the
+other half byte by byte, and the graph records that its rows are mirrored
+so that the code search can use the same symmetry.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
+from itertools import islice, product
 from math import inf
 from collections.abc import Iterable, Iterator
 
@@ -247,25 +253,32 @@ def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], 
     return tuple(table)
 
 
-def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Iterator[int]:
+def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iterator[int]:
     """Yield, in rank order, the rank bitmask of the words each word is confusable with.
 
-    Rank r is the r-th smallest of the words' length-n labels, a repeat is
-    confusable with its copies, and a consumer may stop early. A trie node
-    covers ranks [lo, hi) and maps a joint (b run state, y run state) to a
-    rank mask.
+    The words are length-n strings of '0' and '1', and rank r is the r-th
+    smallest of them; a repeat is confusable with its copies, and a consumer
+    may stop early. The caller checks the lengths: the columns are read by
+    slicing the words joined end to end, so a word of another length shifts
+    every later one. A trie node covers ranks [lo, hi) and maps a joint
+    (b run state, y run state) to a rank mask.
     """
-    labels = sorted(labels)
-    if not labels:
+    words = sorted(words)
+    if not words:
         return
     steps_in = run_steps(params.k1)
     table = _joint_steps(params.k1, params.k2)
     length = min(SUFFIX, n)
-    suffix_sets = _suffix_sets(params.k1, params.k2, length)
-    full = (1 << len(labels)) - 1
-    words = [format(label, f"0{n}b") for label in reversed(labels)]
+    # `_suffix_sets` keyed by a's last `length` symbols as they read in a word
+    tails = ["".join(tail) for tail in product("01", repeat=length)]
+    suffix_sets = [
+        dict(zip(tails, by_sigma)) for by_sigma in _suffix_sets(params.k1, params.k2, length)
+    ]
+    full = (1 << len(words)) - 1
+    # highest rank first, so that rank r is bit r of each column
+    joined = "".join(reversed(words))
     # per depth, the ranks whose symbol there is 0 and those where it is 1
-    columns = [(full ^ ones, ones) for ones in (int("".join(c), 2) for c in zip(*words))]
+    columns = [(full ^ ones, ones) for ones in (int(joined[depth::n], 2) for depth in range(n))]
     # the ranks whose last `length` symbols read beta, per beta
     by_suffix = []
     for beta in range(1 << length):
@@ -274,17 +287,16 @@ def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Ite
             mask &= columns[depth][beta >> (n - 1 - depth) & 1]
         by_suffix.append(mask)
     # per set of b-suffixes, the ranks ending in one of them
-    unions = [0] * (1 << (1 << length))
-    for kind in range(1, len(unions)):
-        low = kind & -kind
-        unions[kind] = unions[kind ^ low] | by_suffix[low.bit_length() - 1]
-    stack = [(0, 0, len(labels), 0, {0: full})]
+    unions = [0]
+    for mask in by_suffix:
+        unions += [union | mask for union in unions]
+    stack = [(0, 0, len(words), 0, {0: full})]
     while stack:
         depth, lo, hi, a_state, states = stack.pop()
         if depth == n - length:
             kinds_of = suffix_sets[a_state]
             for rank in range(lo, hi):
-                kinds = kinds_of[labels[rank] & ((1 << length) - 1)]
+                kinds = kinds_of[words[rank][depth:]]
                 acc: dict[int, int] = {}
                 for joint, mask in states.items():
                     if kind := kinds[joint]:
@@ -301,8 +313,7 @@ def confusable_rows(params: ChannelParams, n: int, labels: Iterable[int]) -> Ite
                 moves.append((2 * joint, moved))
             if moved := mask & ones:
                 moves.append((2 * joint + 1, moved))
-        shift = n - 1 - depth
-        split = bisect_left(labels, (labels[lo] >> shift | 1) << shift, lo, hi)
+        split = bisect_left(words, words[lo][:depth] + "1", lo, hi)
         for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
             if child_lo == child_hi:
                 continue
@@ -336,8 +347,10 @@ def build_graph(params: ChannelParams, n: int, *, deadline: float = inf) -> Conf
         raise ValueError("block length must be >= 1")
     if n > GRAPH_CAP:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {GRAPH_CAP}")
+    spec = f"0{n}b"
     half = []
-    for row in islice(confusable_rows(params, n, range(1 << n)), 1 << (n - 1)):
+    words = (format(i, spec) for i in range(1 << n))
+    for row in islice(confusable_rows(params, n, words), 1 << (n - 1)):
         if time.monotonic() >= deadline:
             raise DeadlineExceededError(f"graph build stopped after {len(half)} rows")
         half.append(row)

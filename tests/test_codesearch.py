@@ -110,8 +110,11 @@ def test_verify_code_empty_and_single_word():
 
 
 def test_verify_code_rejects_words_of_the_wrong_length():
-    with pytest.raises(ValueError):
-        verify_code(ChannelParams(2, 2), Code(n=3, words=(Bits("010"), Bits("01"))))
+    # the second pair has 6 symbols in all: joined and cut into columns, it
+    # would read as two 3-bit words
+    for words in ((Bits("010"), Bits("01")), (Bits("0101"), Bits("01"))):
+        with pytest.raises(ValueError):
+            verify_code(ChannelParams(2, 2), Code(n=3, words=words))
 
 
 def test_verify_code_past_the_recursion_limit():
@@ -179,6 +182,9 @@ def test_verify_code_matches_pairwise_oracle_on_complement_closed_codes(k1, k2, 
     if data.draw(st.booleans()):
         labels.append(data.draw(st.sampled_from(labels)))
     code = closed_code(n, labels)
+    if data.draw(st.booleans()):
+        # a code built directly need not be sorted; the closure check sorts
+        code = Code(n=n, words=tuple(data.draw(st.permutations(code.words))))
     assert verify_code(params, code) is pairwise_valid(params, code)
 
 
@@ -206,6 +212,10 @@ def test_verify_code_finds_a_one_half_conflict_through_its_mirror(monkeypatch):
     code = Code.from_words([Bits("1000"), Bits("1001")])
     assert verify_code(params, code) is False
     assert pairwise_valid(params, code) is False
+    # unsorted, each word's complement sits at the mirrored position, yet a
+    # bisect for the first word starting with 1 would land at 0 and read no row
+    order = ("1000", "1001", "0011", "1100", "0110", "0111")
+    assert verify_code(params, Code(n=4, words=tuple(map(Bits, order)))) is False
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -170,6 +170,15 @@ def test_build_graph_honours_its_deadline():
         build_graph(params, 8, deadline=0.0)
 
 
+@pytest.mark.parametrize(
+    "k1, k2, n, edges",
+    [(2, 5, 11, 707014), (3, 5, 12, 891502), (1, 5, 12, 96352), (4, 6, 12, 220796)],
+)
+def test_graph_edge_counts_at_the_benchmark_points(k1, k2, n, edges):
+    # the reference counts the benchmark's search workloads gate on
+    assert build_graph(ChannelParams(k1, k2), n).edge_count() == edges
+
+
 def test_graph_matches_pairwise_dp():
     for params in (ChannelParams(k1, k2) for k1 in range(1, 6) for k2 in range(1, 6)):
         graph = build_graph(params, 6)
@@ -210,7 +219,8 @@ def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
     params = ChannelParams(k1, k2)
     labels = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=16))
     ranked = [Bits.from_index(label, n) for label in sorted(labels)]
-    rows = list(confusable_rows(params, n, labels))
+    # the walk takes the words unsorted and ranks them itself
+    rows = list(confusable_rows(params, n, [format(label, f"0{n}b") for label in labels]))
     assert len(rows) == len(labels)
     for r, (word, row) in enumerate(zip(ranked, rows)):
         # a repeated label is one word, so its copies share every output with it
@@ -250,7 +260,7 @@ def test_mirrored_graph_matches_the_full_walk():
         for k2 in range(1, 6):
             params = ChannelParams(k1, k2)
             for n in range(1, 10):
-                full = tuple(confusable_rows(params, n, range(1 << n)))
+                full = tuple(confusable_rows(params, n, map(str, all_sequences(n))))
                 assert build_graph(params, n).rows == full
 
 
