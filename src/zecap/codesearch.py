@@ -16,12 +16,12 @@ branching on the candidate with the most neighbours among the candidates
 (ties to the lowest label), whose inclusion removes the most candidates.
 One deadline covers every phase.
 
-A graph from build_graph maps onto itself under the complement
-i -> 2^n-1-i. Its root sweep then visits only the words that start with 0
-and applies each take and drop to the complements as well, so the kernel
-stays closed under the complement; a kernel component apart from its mirror
-is searched once and its best set mirrored. Any other graph takes the plain
-path.
+A graph from build_graph is two disjoint halves: no output can differ
+from the input at t = 1, so a word that starts with 0 is never confusable
+with one that starts with 1, and the complement i -> 2^n-1-i maps each
+half onto the other. The search runs on the 0-half alone, and its best set
+plus that set's mirror is the optimum of the whole graph. Any other graph
+is searched on all its rows.
 
 verify_code reads confusable_rows over the code's own words, as sorted
 strings whose lengths it checks first, and stops at the first conflict. A
@@ -162,18 +162,13 @@ def _reduce(
     chosen: int,
     deadline: float,
     order: list[int] | None = None,
-    n: int | None = None,
 ) -> tuple[int, int] | None:
     """Move isolated candidates into `chosen`, drop dominated ones, to a fixed point.
 
     A pass sweeps the candidates by the vertex indices in `order`, or in
-    label order when it is None. With n given, the rows and `cand` are
-    closed under the complement i -> 2^n-1-i: every take and drop is applied
-    to the complements too, so `order` need only hold the words that start
-    with 0, and `cand` stays closed. Returns the new (cand, chosen), or None
+    label order when it is None. Returns the new (cand, chosen), or None
     when the deadline passes first.
     """
-    last = 0 if n is None else (1 << n) - 1
     changed = True
     while changed:
         changed = False
@@ -184,10 +179,9 @@ def _reduce(
                 return None
             u = low.bit_length() - 1
             closed = rows[u] & cand | low
-            twin = 0 if n is None else 1 << (last - u)
             if closed == low:
-                chosen |= low | twin
-                cand ^= low | twin
+                chosen |= low
+                cand ^= low
                 continue
             # u dominates v iff v lies in N[w] for every w in N[u]
             dominated = closed
@@ -195,11 +189,9 @@ def _reduce(
                 dominated &= rows[w.bit_length() - 1] | w
                 if dominated == low:
                     break
-            # u and its complement may be twins, each dominating the other,
-            # and dropping both would lose the optimum
-            dominated &= ~(low | twin)
+            dominated &= ~low
             if dominated:
-                cand &= ~(dominated if n is None else dominated | mirror(dominated, n))
+                cand &= ~dominated
                 changed = True
     return cand, chosen
 
@@ -221,33 +213,24 @@ def _component(rows: tuple[int, ...], cand: int) -> int:
     return comp
 
 
-def _max_independent(
-    rows: tuple[int, ...], deadline: float, n: int | None = None
-) -> tuple[int, bool]:
+def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]:
     """Largest independent set of the graph, as a bitmask in vertex labels.
 
-    With n given the graph is closed under the complement over n-bit labels
-    (see `_reduce`), and so is the reduced graph: a component apart from its
-    mirror is searched alone, and its best set mirrored into the other. Each
-    component is searched on its own stack. A node is cut when its chosen
-    set and all its candidates cannot beat the best, and otherwise branches
-    on the candidate with the most neighbours among the candidates, ties to
-    the lowest label, taken or not. The second value is False when the
-    deadline passed; the mask is then the best set found so far, possibly
-    empty.
+    Each component of the reduced graph is searched on its own stack. A
+    node is cut when its chosen set and all its candidates cannot beat the
+    best, and otherwise branches on the candidate with the most neighbours
+    among the candidates, ties to the lowest label, taken or not. The
+    second value is False when the deadline passed; the mask is then the
+    best set found so far, possibly empty.
     """
     # low-degree vertices dominate the most, so the root sweep takes them first
-    order = _degree_order(rows if n is None else rows[: len(rows) // 2])
-    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, order, n)
+    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, _degree_order(rows))
     if reduced is None:
         return 0, False
     rest, found = reduced
     while rest:
         comp = _component(rows, rest)
-        twin = 0 if n is None else mirror(comp, n)
-        if twin & comp:
-            twin = 0
-        rest &= ~(comp | twin)
+        rest ^= comp
         best = 0
         stack = [(comp, 0)]
         while stack:
@@ -265,8 +248,6 @@ def _max_independent(
             # the include child is pushed last, so it is searched first
             stack.append((cand ^ low, chosen))
             stack.append((cand & ~(rows[low.bit_length() - 1] | low), chosen | low))
-        if twin:
-            best |= mirror(best, n)
         found |= best
     return found, True
 
@@ -285,7 +266,11 @@ def optimal_code(
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 or None, got {time_limit}")
     deadline = inf if time_limit is None else time.monotonic() + time_limit
-    mask, completed = _max_independent(graph.rows, deadline, graph.n if graph.mirrored else None)
+    if graph.mirrored:
+        mask, completed = _max_independent(graph.rows[: graph.vertex_count // 2], deadline)
+        mask |= mirror(mask, graph.n)
+    else:
+        mask, completed = _max_independent(graph.rows, deadline)
     # ascending labels are already the lexicographic order Code stores
     words = tuple(graph.sequence(low.bit_length() - 1) for low in _bits(mask or 1))
     witness = Code(n=graph.n, words=words)

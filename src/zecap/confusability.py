@@ -39,8 +39,9 @@ build_graph feeds confusable_rows every length-n word in label order and
 takes the first half of its rows, the words that start with 0.
 Complementing x and y together keeps the channel law, so the row of word
 N-1-i is the row of word i read backwards over N bits; `mirror` makes the
-other half byte by byte, and the graph records that its rows are mirrored
-so that the code search can use the same symmetry.
+other half byte by byte. No output differs from the input at t = 1, so no
+word that starts with 0 is confusable with one that starts with 1; the
+graph records both facts, and the code search runs on the 0-half alone.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ class ConfusabilityGraph:
     params: ChannelParams
     n: int
     rows: tuple[int, ...]
-    # set by build_graph alone: row N-1-i is `mirror(rows[i], n)`, which lets
-    # optimal_code reduce one half and mirror its takes and drops
+    # set by build_graph alone: no row of a word that starts with 0 reaches a
+    # word that starts with 1, and row N-1-i is `mirror(rows[i], n)`, so
+    # optimal_code searches rows[:N/2] and mirrors the best set
     mirrored: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property

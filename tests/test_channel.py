@@ -129,3 +129,15 @@ def test_channel_steps_match_the_spec():
                     allowed = {y_t for y_t, nxt in moves.items() if nxt is not None}
                     assert allowed == step_outputs(params, Bits(x + str(x_t)), Bits(y))
                     stack.extend((moves[y_t], x + str(x_t), y + str(y_t)) for y_t in allowed)
+
+
+def test_first_output_always_equals_the_first_input():
+    # no history yet, so neither run break fires at t = 1: a word that
+    # starts with 0 shares no output with one that starts with 1, the split
+    # of the confusability graph that the code search rests on
+    for k1 in range(1, 9):
+        for k2 in range(1, 9):
+            start = channel_steps(k1, k2)[0]
+            for x in (0, 1):
+                assert start[x + 1] is None, (k1, k2, x)
+                assert start[3 * x] is not None, (k1, k2, x)

@@ -1,7 +1,7 @@
 import random
 import re
 import time
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from zecap import (
     verify_code,
     write_code_file,
 )
+from zecap import codesearch
 from zecap.codesearch import _degree_order
 from zecap.confusability import confusable_rows
 
@@ -309,13 +310,13 @@ def test_optimal_code_matches_brute_on_random_graphs(graph):
 
 def test_optimal_code_kernel_with_edges():
     cases = (
-        # reduction leaves 20 vertices with 26 edges among them
+        # reduction of the 0-half leaves 10 vertices with 13 edges among them
         (3, 7, 12, 426),
-        # four components of 10, 10, 27 and 27 vertices
+        # two components of 10 and 27 vertices
         (3, 7, 13, 666),
         (2, 6, 14, 36),
-        # reduction leaves 168 vertices in 6 components: 10, 27 and 47
-        # vertices, each beside its mirror
+        # reduction of the 0-half leaves 84 vertices in 3 components of 10,
+        # 27 and 47 vertices
         (3, 7, 14, 1050),
     )
     for k1, k2, n, size in cases:
@@ -332,7 +333,12 @@ def plain_copy(graph):
 
 
 def marked_mirrored(n, rows):
-    """A hand-built graph closed under the complement, marked as build_graph marks its own."""
+    """A hand-built graph marked as build_graph marks its own.
+
+    The rows must keep the contract of `mirrored`: no row of a word that
+    starts with 0 reaches a word that starts with 1, and row N-1-i is row i
+    complemented.
+    """
     graph = ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows))
     object.__setattr__(graph, "mirrored", True)
     return graph
@@ -345,6 +351,8 @@ def test_mirrored_search_matches_the_plain_path():
             for n in range(1, 11):
                 graph = build_graph(params, n)
                 assert graph.mirrored
+                half = graph.vertex_count // 2
+                assert all(row < 1 << half for row in graph.rows[:half])
                 mirrored, plain = optimal_code(graph), optimal_code(plain_copy(graph))
                 assert mirrored.optimal and plain.optimal
                 assert mirrored.size == plain.size, (k1, k2, n)
@@ -352,38 +360,19 @@ def test_mirrored_search_matches_the_plain_path():
                 assert verify_code(params, plain.witness)
 
 
-def test_mirrored_search_keeps_one_of_adjacent_twin_complements():
-    # over 16 labels, complement i -> 15 - i: 0 and 15 are adjacent twins, a
-    # 5-cycle on 1..5 is apart from its mirror on 10..14, and the 4-cycle
-    # 6-7-9-8 is its own mirror; the optimum takes 1 + 2 + 2 + 2 words
-    edges = [(0, 15), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (6, 7), (7, 9), (9, 8), (8, 6)]
-    rows = [0] * 16
-    for u, v in edges + [(15 - u, 15 - v) for u, v in edges]:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    graph = marked_mirrored(4, rows)
-    assert brute_mis_size(rows) == 7
-    for g in (graph, plain_copy(graph)):
-        result = optimal_code(g)
-        assert result.optimal
-        assert result.size == 7
-        assert_independent(g, result.witness)
-
-
 def test_mirrored_search_matches_the_plain_path_on_complement_closed_graphs():
     # the kernels of build_graph at k1, k2 <= 6 and n <= 10 are empty; these
-    # seeded graphs, with fewer edges between the halves that start with 0
-    # and with 1, leave kernels with components apart from their mirrors
-    # (18 here) and components that are their own mirror (29)
+    # seeded graphs, each half a G(2^(n-1), p) and no edge between the halves
+    # that start with 0 and with 1, leave a one-component 0-half kernel in 29
+    # of the 60 draws
     rng = random.Random(11)
     for _ in range(60):
-        n = rng.choice((3, 4, 5))
+        n = rng.choice((4, 5))
         density = rng.choice((0.15, 0.3, 0.5))
-        cross = density * rng.choice((0, 0.25, 1))
         count = 1 << n
         rows = [0] * count
         for u, v in combinations(range(count), 2):
-            if rng.random() < (density if u ^ v < count // 2 else cross):
+            if v < count // 2 and rng.random() < density:
                 for a, b in ((u, v), (count - 1 - u, count - 1 - v)):
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
@@ -456,6 +445,21 @@ def test_optimal_code_timeout_flags_partial():
     assert not result.optimal
     assert len(result.witness) >= 1
     assert verify_code(ChannelParams(1, 4), result.witness)
+
+
+def test_mirrored_search_timeout_mirrors_the_partial_code(monkeypatch):
+    # one clock tick per vertex visit: the 0-half root sweep at (3,7) n=13
+    # takes 1,254 ticks and the branch and reduce after it 284, so a limit of
+    # 1,400 ticks stops the search inside the branch and reduce
+    params = ChannelParams(3, 7)
+    graph = build_graph(params, 13)
+    monkeypatch.setattr(codesearch.time, "monotonic", count().__next__)
+    result = optimal_code(graph, time_limit=1400)
+    monkeypatch.undo()
+    assert not result.optimal
+    words = {str(w) for w in result.witness}
+    assert words == {w.translate(str.maketrans("01", "10")) for w in words}
+    assert verify_code(params, result.witness)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1.0, -float("inf")])
