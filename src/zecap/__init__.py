@@ -17,6 +17,7 @@ from .codesearch import (
     rate,
     read_code_file,
     replace_codeword,
+    search,
     verify_code,
     write_code_file,
 )
@@ -38,7 +39,7 @@ from .constructions import (
     no_run_break_counts,
     pairwise_block_code,
 )
-from .errors import CapExceededError, DeadlineExceededError, PreconditionError, ZecapError
+from .errors import CapExceededError, PreconditionError, ZecapError
 from .sequences import Bits, all_sequences, contains_pattern, contains_run
 from .simulate import DecodeResult, TrialReport, decode, sample_output, zero_error_trial
 
@@ -52,7 +53,6 @@ __all__ = [
     "Code",
     "ConfusabilityGraph",
     "CountTable",
-    "DeadlineExceededError",
     "DecodeResult",
     "OutputSet",
     "PreconditionError",
@@ -87,6 +87,7 @@ __all__ = [
     "read_code_file",
     "replace_codeword",
     "sample_output",
+    "search",
     "step_outputs",
     "transition_prob",
     "verify_code",

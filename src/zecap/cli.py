@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from math import log2
 
 from .capacity import CapacityResult, bounds_table, capacity, lambda_root, omega_root
@@ -18,10 +17,9 @@ from .channel import ChannelParams
 from .codesearch import (
     DEFAULT_TIME_LIMIT,
     Code,
-    SearchResult,
-    optimal_code,
     rate,
     read_code_file,
+    search,
     verify_code,
     write_code_file,
 )
@@ -34,8 +32,7 @@ from .constructions import (
     no_run_break_counts,
     pairwise_block_code,
 )
-from .errors import CapExceededError, DeadlineExceededError, PreconditionError
-from .sequences import Bits
+from .errors import CapExceededError, PreconditionError
 from .simulate import zero_error_trial
 
 SCHEMA_VERSION = 1
@@ -104,24 +101,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _search(params: ChannelParams, n: int, time_limit: float) -> SearchResult:
-    """build_graph then optimal_code, under one time limit counted from before the build.
-
-    A build cut off by the limit gives what a search cut off before its
-    first take gives: vertex 0 alone, not optimal.
-    """
-    deadline = time.monotonic() + time_limit
-    try:
-        graph = build_graph(params, n, deadline=deadline)
-    except DeadlineExceededError:
-        witness = Code(n=n, words=(Bits.from_index(0, n),))
-        return SearchResult(size=1, witness=witness, optimal=False)
-    return optimal_code(graph, time_limit=max(0.0, deadline - time.monotonic()))
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
-    result = _search(params, args.n, args.time_limit)
+    result = search(params, args.n, time_limit=args.time_limit)
     witness_file = args.witness_file
     if witness_file:
         write_code_file(witness_file, params, result.witness)
@@ -141,13 +123,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
+    # search checks the limit too, but a bad one is refused before the CSV header
+    if not args.time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= n-min <= n-max")
     with_families = args.k1 == 1 and args.k2 >= 4
     print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
     status = EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
-        result = _search(params, n, args.time_limit)
+        result = search(params, n, time_limit=args.time_limit)
         row = f"{n},{result.size},{rate(n, result.size):.12g},{int(result.optimal)}"
         if with_families:
             row += f",{count_forbidden_run(n, args.k2 - 1)},{count_no_run_break(n, args.k2)}"
@@ -313,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # optimal_code checks this too, but only after the graph is built
-        if "time_limit" in args and not args.time_limit >= 0:
-            raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
         return args.func(args)
     except CapExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)

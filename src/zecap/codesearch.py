@@ -16,12 +16,13 @@ branching on the candidate with the most neighbours among the candidates
 (ties to the lowest label), whose inclusion removes the most candidates.
 One deadline covers every phase.
 
-A graph from build_graph is two disjoint halves: no output can differ
+The confusability graph is two disjoint halves: no output can differ
 from the input at t = 1, so a word that starts with 0 is never confusable
 with one that starts with 1, and the complement i -> 2^n-1-i maps each
 half onto the other. The search runs on the 0-half alone, and its best set
-plus that set's mirror is the optimum of the whole graph. Any other graph
-is searched on all its rows.
+plus that set's mirror is the optimum of the whole graph. search(params, n)
+reads only the 0-half rows, from `half_rows`; optimal_code takes the 0-half
+of a build_graph graph, and searches any other graph on all its rows.
 
 verify_code reads confusable_rows over the code's own words, as sorted
 strings whose lengths it checks first, and stops at the first conflict. A
@@ -43,7 +44,7 @@ from itertools import islice
 from math import inf, log2
 
 from .channel import ChannelParams, channel_steps
-from .confusability import ConfusabilityGraph, confusable_rows, mirror
+from .confusability import ConfusabilityGraph, confusable_rows, half_rows, mirror
 from .errors import PreconditionError
 from .sequences import Bits
 
@@ -162,12 +163,12 @@ def _reduce(
     chosen: int,
     deadline: float,
     order: list[int] | None = None,
-) -> tuple[int, int] | None:
+) -> tuple[int, int, bool]:
     """Move isolated candidates into `chosen`, drop dominated ones, to a fixed point.
 
     A pass sweeps the candidates by the vertex indices in `order`, or in
-    label order when it is None. Returns the new (cand, chosen), or None
-    when the deadline passes first.
+    label order when it is None. Returns the new (cand, chosen) and False if
+    the deadline cut it off; `chosen` is independent either way.
     """
     changed = True
     while changed:
@@ -176,7 +177,7 @@ def _reduce(
             if not low & cand:
                 continue
             if time.monotonic() >= deadline:
-                return None
+                return cand, chosen, False
             u = low.bit_length() - 1
             closed = rows[u] & cand | low
             if closed == low:
@@ -193,7 +194,7 @@ def _reduce(
             if dominated:
                 cand &= ~dominated
                 changed = True
-    return cand, chosen
+    return cand, chosen, True
 
 
 def _degree_order(rows: tuple[int, ...]) -> list[int]:
@@ -221,23 +222,21 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
     best, and otherwise branches on the candidate with the most neighbours
     among the candidates, ties to the lowest label, taken or not. The
     second value is False when the deadline passed; the mask is then the
-    best set found so far, possibly empty.
+    best set found so far, or the root sweep's takes, possibly none.
     """
     # low-degree vertices dominate the most, so the root sweep takes them first
-    reduced = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, _degree_order(rows))
-    if reduced is None:
-        return 0, False
-    rest, found = reduced
+    rest, found, swept = _reduce(rows, (1 << len(rows)) - 1, 0, deadline, _degree_order(rows))
+    if not swept:
+        return found, False
     while rest:
         comp = _component(rows, rest)
         rest ^= comp
         best = 0
         stack = [(comp, 0)]
         while stack:
-            reduced = _reduce(rows, *stack.pop(), deadline)
-            if reduced is None:
+            cand, chosen, reduced = _reduce(rows, *stack.pop(), deadline)
+            if not reduced:
                 return found | best, False
-            cand, chosen = reduced
             if chosen.bit_count() + cand.bit_count() <= best.bit_count():
                 continue
             if not cand:
@@ -252,10 +251,45 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
     return found, True
 
 
+def _deadline(time_limit: float | None) -> float:
+    """The `time.monotonic()` reading a limit of time_limit seconds from now ends at."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0, got {time_limit}")
+    return inf if time_limit is None else time.monotonic() + time_limit
+
+
+def _result(n: int, mask: int, completed: bool) -> SearchResult:
+    """The words of mask's labels, ascending as Code stores them; vertex 0 if it is empty."""
+    words = tuple(Bits.from_index(low.bit_length() - 1, n) for low in _bits(mask or 1))
+    return SearchResult(size=len(words), witness=Code(n=n, words=words), optimal=completed)
+
+
+def _mirrored_search(n: int, half: tuple[int, ...], deadline: float) -> SearchResult:
+    """Search the 0-half rows and add the complement of every word found."""
+    mask, completed = _max_independent(half, deadline)
+    return _result(n, mask | mirror(mask, n), completed)
+
+
+def search(
+    params: ChannelParams, n: int, *, time_limit: float | None = DEFAULT_TIME_LIMIT
+) -> SearchResult:
+    """optimal_code(build_graph(params, n)), from the 0-half rows alone.
+
+    The limit, checked before any walk, counts from before the first row and
+    is checked after each; a row build it cuts off starts no search and
+    gives vertex 0 alone, not optimal.
+    """
+    deadline = _deadline(time_limit)
+    half = []
+    for row in half_rows(params, n):
+        if time.monotonic() >= deadline:
+            return _result(n, 0, False)
+        half.append(row)
+    return _mirrored_search(n, tuple(half), deadline)
+
+
 def optimal_code(
-    graph: ConfusabilityGraph,
-    *,
-    time_limit: float | None = DEFAULT_TIME_LIMIT,
+    graph: ConfusabilityGraph, *, time_limit: float | None = DEFAULT_TIME_LIMIT
 ) -> SearchResult:
     """Exact largest zero-error code for the graph's channel and length.
 
@@ -263,18 +297,10 @@ def optimal_code(
     canonical. The time limit covers every phase. On timeout the best code
     found so far (vertex 0 alone if none yet) is returned with optimal=False.
     """
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time limit must be >= 0 or None, got {time_limit}")
-    deadline = inf if time_limit is None else time.monotonic() + time_limit
+    deadline = _deadline(time_limit)
     if graph.mirrored:
-        mask, completed = _max_independent(graph.rows[: graph.vertex_count // 2], deadline)
-        mask |= mirror(mask, graph.n)
-    else:
-        mask, completed = _max_independent(graph.rows, deadline)
-    # ascending labels are already the lexicographic order Code stores
-    words = tuple(graph.sequence(low.bit_length() - 1) for low in _bits(mask or 1))
-    witness = Code(n=graph.n, words=words)
-    return SearchResult(size=len(witness), witness=witness, optimal=completed)
+        return _mirrored_search(graph.n, graph.rows[: graph.vertex_count // 2], deadline)
+    return _result(graph.n, *_max_independent(graph.rows, deadline))
 
 
 _HEADER_RE = re.compile(r"^# zecap code n=(\d+) k1=(\d+) k2=(\d+)\s*$")

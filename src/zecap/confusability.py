@@ -35,27 +35,25 @@ node's masks are grouped by that set, read off by the word's own last
 SUFFIX symbols, and each group is ANDed with the ranks whose last SUFFIX
 symbols fall in the set.
 
-build_graph feeds confusable_rows every length-n word in label order and
-takes the first half of its rows, the words that start with 0.
+No output differs from the input at t = 1, so no word that starts with 0
+is confusable with one that starts with 1: half_rows feeds confusable_rows
+the words that start with 0 alone, each ranked at its label, and its rows
+are the first half of the graph, all that `codesearch.search` reads.
 Complementing x and y together keeps the channel law, so the row of word
-N-1-i is the row of word i read backwards over N bits; `mirror` makes the
-other half byte by byte. No output differs from the input at t = 1, so no
-word that starts with 0 is confusable with one that starts with 1; the
-graph records both facts, and the code search runs on the 0-half alone.
+N-1-i is the row of word i read backwards over N bits; build_graph makes
+that other half byte by byte with `mirror`, and records both facts.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice, product
-from math import inf
+from itertools import product
 from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams, channel_steps
-from .errors import CapExceededError, DeadlineExceededError
+from .errors import CapExceededError
 from .sequences import Bits, run_steps
 
 OUTPUT_CAP = 1 << 18
@@ -339,23 +337,19 @@ def mirror(mask: int, n: int) -> int:
     return int.from_bytes(mask.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BITS), "big")
 
 
-def build_graph(params: ChannelParams, n: int, *, deadline: float = inf) -> ConfusabilityGraph:
-    """Materialize the confusability graph over all length-n inputs (ranks = labels).
-
-    The walk checks `deadline`, a `time.monotonic()` reading, after each
-    row and raises DeadlineExceededError once it has passed.
-    """
+def half_rows(params: ChannelParams, n: int) -> Iterator[int]:
+    """The rows of the 2^(n-1) words that start with 0, lazily; n is checked first."""
     if n < 1:
         raise ValueError("block length must be >= 1")
     if n > GRAPH_CAP:
         raise CapExceededError(f"graph over 2^{n} vertices exceeds cap {GRAPH_CAP}")
     spec = f"0{n}b"
-    half = []
-    words = (format(i, spec) for i in range(1 << n))
-    for row in islice(confusable_rows(params, n, words), 1 << (n - 1)):
-        if time.monotonic() >= deadline:
-            raise DeadlineExceededError(f"graph build stopped after {len(half)} rows")
-        half.append(row)
+    return confusable_rows(params, n, (format(i, spec) for i in range(1 << (n - 1))))
+
+
+def build_graph(params: ChannelParams, n: int) -> ConfusabilityGraph:
+    """Materialize the confusability graph over all length-n inputs (ranks = labels)."""
+    half = tuple(half_rows(params, n))
     rows = (*half, *(mirror(row, n) for row in reversed(half)))
     graph = ConfusabilityGraph(params=params, n=n, rows=rows)
     object.__setattr__(graph, "mirrored", True)  # frozen: the one place it is set

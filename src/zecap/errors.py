@@ -11,7 +11,3 @@ class CapExceededError(ZecapError):
 
 class PreconditionError(ZecapError):
     """An operation precondition was violated (e.g. replacement containment)."""
-
-
-class DeadlineExceededError(ZecapError):
-    """A time limit passed before an operation finished."""

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import zecap
-from zecap import build_graph, optimal_code, pairwise_block_code, write_code_file, ChannelParams
-from zecap.confusability import GRAPH_CAP, confusable_rows
+from zecap import build_graph, pairwise_block_code, write_code_file, ChannelParams
+from zecap.codesearch import _max_independent
+from zecap.confusability import GRAPH_CAP, confusable_rows, half_rows
 from zecap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -141,10 +142,10 @@ def test_search_timeout_returns_refusal(capsys):
 
 @pytest.mark.parametrize("limit", ["nan", "-1"])
 def test_search_rejects_a_bad_time_limit(capsys, monkeypatch, limit):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("the graph was built before the limit was checked")
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the rows were walked before the limit was checked")
 
-    monkeypatch.setattr("zecap.cli.build_graph", no_graph)
+    monkeypatch.setattr("zecap.confusability.confusable_rows", no_walk)
     status, out, err = run_cli(
         capsys, "search", "--k1", "1", "--k2", "4", "--n", "4", "--time-limit", limit
     )
@@ -361,10 +362,10 @@ def test_rates_bad_range_prints_nothing(capsys, n_min, n_max):
 
 @pytest.mark.parametrize("limit", ["nan", "-1"])
 def test_rates_rejects_a_bad_time_limit(capsys, monkeypatch, limit):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("the graph was built before the limit was checked")
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the rows were walked before the limit was checked")
 
-    monkeypatch.setattr("zecap.cli.build_graph", no_graph)
+    monkeypatch.setattr("zecap.confusability.confusable_rows", no_walk)
     status, out, err = run_cli(
         capsys, "rates", "--k1", "1", "--k2", "4", "--n-max", "4", "--time-limit", limit
     )
@@ -387,23 +388,24 @@ BUILD_SECONDS = 0.2
 def test_time_limit_covers_the_graph_build(capsys, monkeypatch, argv, searches, limit):
     limits = []
 
-    def slow_build(*args, **kwargs):
+    def slow_rows(*args):
         time.sleep(BUILD_SECONDS)
-        return build_graph(*args, **kwargs)
+        return half_rows(*args)
 
-    def recording_search(graph, *, time_limit):
-        limits.append(time_limit)
-        return optimal_code(graph, time_limit=time_limit)
+    def recording_search(rows, deadline):
+        limits.append(deadline - time.monotonic())
+        return _max_independent(rows, deadline)
 
-    monkeypatch.setattr("zecap.cli.build_graph", slow_build)
-    monkeypatch.setattr("zecap.cli.optimal_code", recording_search)
+    # the row build starts with a sleep, so the limit counts from before its first row
+    monkeypatch.setattr("zecap.codesearch.half_rows", slow_rows)
+    monkeypatch.setattr("zecap.codesearch._max_independent", recording_search)
     status, _, _ = run_cli(capsys, *argv, "--time-limit", str(limit))
     if limit > BUILD_SECONDS:
         assert status == 0
         assert len(limits) == searches
         assert all(limit - 1.0 < left <= limit - BUILD_SECONDS for left in limits)
     else:
-        # a build that outlasts the limit stops, and no search starts
+        # a row build that outlasts the limit stops, and no search starts
         assert status == 4
         assert limits == []
 

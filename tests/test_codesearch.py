@@ -23,12 +23,13 @@ from zecap import (
     rate,
     read_code_file,
     replace_codeword,
+    search,
     verify_code,
     write_code_file,
 )
 from zecap import codesearch
 from zecap.codesearch import _degree_order
-from zecap.confusability import confusable_rows
+from zecap.confusability import confusable_rows, half_rows
 
 from oracles import brute_mis_size, pairwise_valid
 
@@ -460,6 +461,54 @@ def test_mirrored_search_timeout_mirrors_the_partial_code(monkeypatch):
     words = {str(w) for w in result.witness}
     assert words == {w.translate(str.maketrans("01", "10")) for w in words}
     assert verify_code(params, result.witness)
+
+
+def test_root_sweep_timeout_keeps_its_takes(monkeypatch):
+    # one clock tick per vertex visit: the 0-half root sweep at (3,7) n=13
+    # takes 1,254 ticks, so a limit of 1,200 stops the search inside it
+    params = ChannelParams(3, 7)
+    graph = build_graph(params, 13)
+    monkeypatch.setattr(codesearch.time, "monotonic", count().__next__)
+    result = optimal_code(graph, time_limit=1200)
+    monkeypatch.undo()
+    assert not result.optimal
+    assert result.size > 1
+    words = {str(w) for w in result.witness}
+    assert words == {w.translate(str.maketrans("01", "10")) for w in words}
+    assert verify_code(params, result.witness)
+
+
+# the benchmark's search points
+BENCH_POINTS = [(2, 5, 11), (3, 5, 12), (1, 5, 12), (4, 6, 12)]
+
+
+def test_search_matches_optimal_code_on_build_graph():
+    small = [(k1, k2, n) for k1 in range(1, 6) for k2 in range(1, 6) for n in range(1, 10)]
+    for k1, k2, n in small + BENCH_POINTS:
+        params = ChannelParams(k1, k2)
+        graph = build_graph(params, n)
+        assert tuple(half_rows(params, n)) == graph.rows[: 1 << (n - 1)]
+        found = search(params, n)
+        assert found.optimal
+        assert found == optimal_code(graph), (k1, k2, n)
+
+
+def test_search_honours_its_deadline(monkeypatch):
+    params = ChannelParams(2, 3)
+    assert search(params, 8, time_limit=None) == optimal_code(build_graph(params, 8))
+    read = []
+
+    def counted_rows(*args):
+        for row in confusable_rows(*args):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr("zecap.confusability.confusable_rows", counted_rows)
+    result = search(params, 8, time_limit=0.0)
+    # the walk stops at its first check, after one row, with vertex 0 alone
+    assert len(read) == 1
+    assert not result.optimal
+    assert [str(w) for w in result.witness] == ["00000000"]
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1.0, -float("inf")])
