@@ -25,10 +25,12 @@ reads only the 0-half rows, from `half_rows`; optimal_code takes the 0-half
 of a build_graph graph, and searches any other graph on all its rows.
 
 verify_code reads confusable_rows over the code's own words, as sorted
-strings whose lengths it checks first, and stops at the first conflict. A
-code whose words, repeats counted, are closed under the same complement
-needs only the rows of its words that start with 0, the cut build_graph
-makes; one string comparison decides this, the sorted words joined and
+strings whose lengths it checks first, and stops at the first conflict.
+The walk leaves a word once it has parted from every other word, so its
+cost follows the depth at which the code's words part, not n. A code
+whose words, repeats counted, are closed under the same complement needs
+only the rows of its words that start with 0, the cut build_graph makes;
+one string comparison decides this, the sorted words joined and
 complemented against the same words joined in descending order.
 """
 

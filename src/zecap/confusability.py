@@ -33,7 +33,10 @@ SUFFIX symbols and a joint state the set of b-suffixes that can still share
 an output from there. Each word's row is then finished at once: its
 node's masks are grouped by that set, read off by the word's own last
 SUFFIX symbols, and each group is ANDed with the ranks whose last SUFFIX
-symbols fall in the set.
+symbols fall in the set. A word that has parted from every other word stops
+sooner: masks only shrink going down (a parent's, ANDed with a column, then
+ORed over moves) and b = a keeps the word's own bit in them, so a node
+holding one word whose masks OR to that bit alone yields an empty row.
 
 No output differs from the input at t = 1, so no word that starts with 0
 is confusable with one that starts with 1: half_rows feeds confusable_rows
@@ -48,8 +51,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import product
+from operator import or_
 from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams, channel_steps
@@ -261,7 +265,8 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     may stop early. The caller checks the lengths: the columns are read by
     slicing the words joined end to end, so a word of another length shifts
     every later one. A trie node covers ranks [lo, hi) and maps a joint
-    (b run state, y run state) to a rank mask.
+    (b run state, y run state) to a rank mask. A one-word node whose masks OR
+    to its own bit (b = a keeps it) yields 0 at once: masks only shrink below.
     """
     words = sorted(words)
     if not words:
@@ -293,6 +298,9 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     stack = [(0, 0, len(words), 0, {0: full})]
     while stack:
         depth, lo, hi, a_state, states = stack.pop()
+        if hi - lo == 1 and reduce(or_, states.values()) == 1 << lo:
+            yield 0  # the word has parted: no other rank is left below
+            continue
         if depth == n - length:
             kinds_of = suffix_sets[a_state]
             for rank in range(lo, hi):

@@ -29,7 +29,7 @@ from zecap import (
 )
 from zecap import codesearch
 from zecap.codesearch import _degree_order
-from zecap.confusability import confusable_rows, half_rows
+from zecap.confusability import SUFFIX, confusable_rows, half_rows
 
 from oracles import brute_mis_size, pairwise_valid
 
@@ -231,6 +231,42 @@ def test_verify_code_sees_repeats_on_both_halves(n):
     assert verify_code(params, Code(n=n, words=(twin, twin, word, word))) is False
     # a repeat on the 1-half alone is not closed as a multiset
     assert verify_code(params, Code(n=n, words=(twin, word, word))) is False
+
+
+@pytest.mark.parametrize("k1, k2", [(4, 6), (3, 5)])
+def test_verify_code_on_the_benchmark_confirm_codes(k1, k2):
+    # the 64 evenly spaced witness words a search workload verifies: most
+    # part from every other word well above the suffix depth
+    params, n = ChannelParams(k1, k2), 12
+    words = search(params, n).witness.words
+    code = Code.from_words([words[i * len(words) // 64] for i in range(64)], n=n)
+    assert verify_code(params, code) is pairwise_valid(params, code) is True
+    depth = n - SUFFIX
+    graph = build_graph(params, n)
+    labels = [w.to_index() for w in code]
+    mask = sum(1 << i for i in labels)
+    prefixes = [Bits(str(word)[:depth]) for word in code]
+    for prefix, label in zip(prefixes, labels):
+        parted = not any(
+            confusable_dp(params, prefix, other) for other in prefixes if other is not prefix
+        )
+        # a new word confusable with this codeword and no other one, which
+        # leaves its trie node above the suffix depth: the walk must not
+        # stop at either of the two
+        added = next(
+            (
+                x
+                for x in graph.neighbors(label)
+                if graph.rows[x] & mask == 1 << label and (x ^ label) >> SUFFIX
+            ),
+            None,
+        )
+        if parted and added is not None:
+            break
+    else:
+        pytest.fail("no codeword parts early with a neighbour of its own")
+    bigger = Code.from_words([*code, graph.sequence(added)], n=n)
+    assert verify_code(params, bigger) is pairwise_valid(params, bigger) is False
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from zecap import (
 from zecap.confusability import (
     GRAPH_CAP,
     OUTPUT_CAP,
+    SUFFIX,
     _joint_steps,
     _suffix_sets,
     confusable_rows,
@@ -200,15 +201,7 @@ def test_graph_matches_pairwise_dp_on_sampled_pairs(k1, k2, n, data):
         assert graph.has_edge(i, j) == expected
 
 
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=9),
-    st.data(),
-)
-def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
-    params = ChannelParams(k1, k2)
-    labels = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=16))
+def assert_rows_match_pairwise_dp(params, n, labels):
     ranked = [Bits.from_index(label, n) for label in sorted(labels)]
     # the walk takes the words unsorted and ranks them itself
     rows = list(confusable_rows(params, n, [format(label, f"0{n}b") for label in labels]))
@@ -219,6 +212,73 @@ def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
             s for s, other in enumerate(ranked) if s != r and confusable_dp(params, word, other)
         )
         assert row == sum(1 << s for s in partners)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=9),
+    st.data(),
+)
+def test_rows_of_a_word_set_match_pairwise_dp(k1, k2, n, data):
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=16))
+    assert_rows_match_pairwise_dp(ChannelParams(k1, k2), n, labels)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=10, max_value=14),
+    st.data(),
+)
+def test_rows_of_a_sparse_word_set_match_pairwise_dp(k1, k2, n, data):
+    # few words over many labels part well above the suffix depth, where
+    # the walk yields a parted word's empty row without going further down
+    labels = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    # uniform words are rarely confusable; a few flipped bits find the border
+    for _ in range(data.draw(st.integers(0, 12))):
+        label = data.draw(st.sampled_from(labels))
+        for bit in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            label ^= 1 << bit
+        labels.append(label)
+    assert_rows_match_pairwise_dp(ChannelParams(k1, k2), n, labels)
+
+
+def test_rows_of_a_repeated_word_next_to_a_parted_word():
+    # the copies share every trie node, so neither is ever a node of its own;
+    # the third word parts from both at the first symbol
+    params = ChannelParams(2, 4)
+    assert list(confusable_rows(params, 8, ["00100000", "11111111", "00100000"])) == [2, 1, 0]
+
+
+def test_rows_of_words_that_part_only_in_the_suffix():
+    # the words split at depth 1 but their prefixes still share an output at
+    # the suffix depth, so the walk must not stop early and the suffix
+    # table decides: apart after 100, confusable after 000
+    params, n = ChannelParams(2, 4), 8
+    a, b, c = "00100000", "01101100", "01101000"
+    depth = n - SUFFIX
+    for other in (b, c):
+        assert confusable_dp(params, Bits(a[:depth]), Bits(other[:depth]))
+    assert not confusable_dp(params, Bits(a), Bits(b))
+    assert confusable_dp(params, Bits(a), Bits(c))
+    assert list(confusable_rows(params, n, [a, b])) == [0, 0]
+    assert list(confusable_rows(params, n, [a, c])) == [2, 1]
+
+
+@pytest.mark.parametrize(
+    "n, words, rows",
+    [
+        (1, ["1"], [0]),
+        (1, ["1", "0"], [0, 0]),
+        (1, ["1", "1"], [2, 1]),
+        (2, ["01"], [0]),
+        (2, ["11", "10", "01", "00"], [2, 1, 8, 4]),
+        (2, ["01", "01", "10"], [2, 1, 0]),
+    ],
+)
+def test_rows_when_the_root_is_at_the_suffix_depth(n, words, rows):
+    assert list(confusable_rows(ChannelParams(2, 2), n, words)) == rows
 
 
 def test_suffix_sets_match_a_walk_of_the_joint_steps():
