@@ -23,7 +23,6 @@ from .codesearch import (
 )
 from .confusability import (
     ConfusabilityGraph,
-    OutputSet,
     build_graph,
     confusable_dp,
     output_membership,
@@ -54,7 +53,6 @@ __all__ = [
     "ConfusabilityGraph",
     "CountTable",
     "DecodeResult",
-    "OutputSet",
     "PreconditionError",
     "SearchResult",
     "TrialReport",

@@ -21,15 +21,15 @@ from the input at t = 1, so a word that starts with 0 is never confusable
 with one that starts with 1, and the complement i -> 2^n-1-i maps each
 half onto the other. The search runs on the 0-half alone, and its best set
 plus that set's mirror is the optimum of the whole graph. search(params, n)
-reads only the 0-half rows, from `half_rows`; optimal_code takes the 0-half
-of a build_graph graph, and searches any other graph on all its rows.
+reads only the 0-half rows, from `half_rows`; optimal_code reads the 0-half
+that every ConfusabilityGraph, built by hand or not, is given by.
 
 verify_code reads confusable_rows over the code's own words, as sorted
 strings whose lengths it checks first, and stops at the first conflict.
 The walk leaves a word once it has parted from every other word, so its
 cost follows the depth at which the code's words part, not n. A code
 whose words, repeats counted, are closed under the same complement needs
-only the rows of its words that start with 0, the cut build_graph makes;
+only the rows of its words that start with 0, the cut half_rows makes;
 one string comparison decides this, the sorted words joined and
 complemented against the same words joined in descending order.
 """
@@ -57,7 +57,7 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 @dataclass(frozen=True)
 class Code:
-    """A set of equal-length words, stored sorted lexicographically."""
+    """Equal-length words, stored sorted; from_words drops repeats, read_code_file keeps them."""
 
     n: int
     words: tuple[Bits, ...]
@@ -299,10 +299,7 @@ def optimal_code(
     canonical. The time limit covers every phase. On timeout the best code
     found so far (vertex 0 alone if none yet) is returned with optimal=False.
     """
-    deadline = _deadline(time_limit)
-    if graph.mirrored:
-        return _mirrored_search(graph.n, graph.rows[: graph.vertex_count // 2], deadline)
-    return _result(graph.n, *_max_independent(graph.rows, deadline))
+    return _mirrored_search(graph.n, graph.half, _deadline(time_limit))
 
 
 _HEADER_RE = re.compile(r"^# zecap code n=(\d+) k1=(\d+) k2=(\d+)\s*$")

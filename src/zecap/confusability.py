@@ -43,15 +43,17 @@ is confusable with one that starts with 1: half_rows feeds confusable_rows
 the words that start with 0 alone, each ranked at its label, and its rows
 are the first half of the graph, all that `codesearch.search` reads.
 Complementing x and y together keeps the channel law, so the row of word
-N-1-i is the row of word i read backwards over N bits; build_graph makes
-that other half byte by byte with `mirror`, and records both facts.
+N-1-i is the row of word i read backwards over N bits. So a
+ConfusabilityGraph is given by its 0-half alone, build_graph stores
+half_rows as it is, and the other half is made byte by byte with `mirror`
+only when `rows` is first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cache, reduce
+from dataclasses import dataclass
+from functools import cache, cached_property, reduce
 from itertools import product
 from operator import or_
 from collections.abc import Iterable, Iterator
@@ -66,24 +68,7 @@ GRAPH_CAP = 16  # the graph route's whole reach
 SUFFIX = 3
 
 
-@dataclass(frozen=True)
-class OutputSet:
-    """The exact set of output sequences reachable from one input."""
-
-    n: int
-    members: frozenset[Bits]
-
-    def __contains__(self, y: Bits) -> bool:
-        return y in self.members
-
-    def __iter__(self) -> Iterator[Bits]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def possible_outputs(params: ChannelParams, x: Bits) -> OutputSet:
+def possible_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
     """All outputs with positive probability, extended one step at a time.
 
     Output sets can be exponential in len(x); a step from more than
@@ -101,7 +86,7 @@ def possible_outputs(params: ChannelParams, x: Bits) -> OutputSet:
             for y_t in (0, 1)
             if (state := table[at][2 * x_t + y_t]) is not None
         ]
-    return OutputSet(len(x), frozenset(Bits(y) for _, y in level))
+    return frozenset(Bits(y) for _, y in level)
 
 
 def output_membership(params: ChannelParams, x: Bits, y: Bits) -> bool:
@@ -144,17 +129,29 @@ def confusable_dp(params: ChannelParams, x: Bits, x_other: Bits) -> bool:
 class ConfusabilityGraph:
     """Graph over all length-n inputs; edges join non-distinguishable pairs.
 
-    Vertex i is the i-th sequence in lexicographic order; adjacency is stored
-    as one bit vector per vertex. Value-identical across runs.
+    Vertex i is the i-th sequence in lexicographic order; adjacency is one
+    bit vector per vertex. The graph is given by its 0-half, the rows of the
+    2^(n-1) words that start with 0, none reaching a word that starts with
+    1; row N-1-i is `mirror(rows[i], n)`. Value-identical across runs.
     """
 
     params: ChannelParams
     n: int
-    rows: tuple[int, ...]
-    # set by build_graph alone: no row of a word that starts with 0 reaches a
-    # word that starts with 1, and row N-1-i is `mirror(rows[i], n)`, so
-    # optimal_code searches rows[:N/2] and mirrors the best set
-    mirrored: bool = field(default=False, init=False, repr=False, compare=False)
+    half: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("block length must be >= 1")
+        count = 1 << (self.n - 1)
+        if len(self.half) != count:
+            raise ValueError(f"the 0-half at n={self.n} has {count} rows, got {len(self.half)}")
+        if any(row < 0 or row.bit_length() > count for row in self.half):
+            raise ValueError("a 0-half row reaches a word that starts with 1")
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Every vertex's row: the 0-half, then its mirror."""
+        return (*self.half, *(mirror(row, self.n) for row in reversed(self.half)))
 
     @property
     def vertex_count(self) -> int:
@@ -177,7 +174,8 @@ class ConfusabilityGraph:
         return self.rows[i].bit_count()
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        # each half holds its own edges, counted twice, and the halves match
+        return sum(row.bit_count() for row in self.half)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.vertex_count):
@@ -221,15 +219,16 @@ def _joint_steps(k1: int, k2: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @cache
-def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _suffix_sets(k1: int, k2: int, length: int) -> tuple[dict[str, tuple[int, ...]], ...]:
     """Which b-suffixes can still share an output with a given a-suffix.
 
     table[a_state][sigma][joint] is the bitmask, over the `length`-symbol
     b-suffixes beta read as labels, of those for which some output survives
-    when a reads sigma from a_state while b reads beta from the joint state
-    (b run state, y run state). Built by a DP over the suffix length: the
-    first symbol of sigma and of beta moves both by `_joint_steps`, the rest
-    is looked up one length shorter.
+    when a reads sigma, a '0'/'1' string, from a_state while b reads beta
+    from the joint state (b run state, y run state). Built by a DP over the
+    suffix length, sigma read as a label: the first symbol of sigma and of
+    beta moves both by `_joint_steps`, the rest is looked up one length
+    shorter.
     """
     steps_in = run_steps(k1)
     moves = _joint_steps(k1, k2)
@@ -254,7 +253,8 @@ def _suffix_sets(k1: int, k2: int, length: int) -> tuple[tuple[tuple[int, ...], 
                     kinds.append(kind)
                 by_sigma.append(tuple(kinds))
             table.append(tuple(by_sigma))
-    return tuple(table)
+    tails = ["".join(tail) for tail in product("01", repeat=length)]
+    return tuple(dict(zip(tails, by_sigma)) for by_sigma in table)
 
 
 def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iterator[int]:
@@ -274,11 +274,7 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     steps_in = run_steps(params.k1)
     table = _joint_steps(params.k1, params.k2)
     length = min(SUFFIX, n)
-    # `_suffix_sets` keyed by a's last `length` symbols as they read in a word
-    tails = ["".join(tail) for tail in product("01", repeat=length)]
-    suffix_sets = [
-        dict(zip(tails, by_sigma)) for by_sigma in _suffix_sets(params.k1, params.k2, length)
-    ]
+    suffix_sets = _suffix_sets(params.k1, params.k2, length)
     full = (1 << len(words)) - 1
     # highest rank first, so that rank r is bit r of each column
     joined = "".join(reversed(words))
@@ -356,9 +352,5 @@ def half_rows(params: ChannelParams, n: int) -> Iterator[int]:
 
 
 def build_graph(params: ChannelParams, n: int) -> ConfusabilityGraph:
-    """Materialize the confusability graph over all length-n inputs (ranks = labels)."""
-    half = tuple(half_rows(params, n))
-    rows = (*half, *(mirror(row, n) for row in reversed(half)))
-    graph = ConfusabilityGraph(params=params, n=n, rows=rows)
-    object.__setattr__(graph, "mirrored", True)  # frozen: the one place it is set
-    return graph
+    """The confusability graph over all length-n inputs, from its 0-half rows."""
+    return ConfusabilityGraph(params, n, tuple(half_rows(params, n)))

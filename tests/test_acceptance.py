@@ -174,7 +174,7 @@ def test_c10_dp_agrees_with_brute_force_intersection():
             params = ChannelParams(k1, k2)
             for n in range(1, 8):
                 seqs = list(all_sequences(n))
-                outputs = {x: possible_outputs(params, x).members for x in seqs}
+                outputs = {x: possible_outputs(params, x) for x in seqs}
                 for a, b in combinations(seqs, 2):
                     pairs += 1
                     brute = not outputs[a].isdisjoint(outputs[b])

@@ -2,6 +2,7 @@ import random
 import re
 import time
 from itertools import combinations, count, product
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from zecap import (
     write_code_file,
 )
 from zecap import codesearch
-from zecap.codesearch import _degree_order
+from zecap.codesearch import _degree_order, _max_independent, _result
 from zecap.confusability import SUFFIX, confusable_rows, half_rows
 
 from oracles import brute_mis_size, pairwise_valid
@@ -79,7 +80,7 @@ def test_verify_code_matches_pairwise_oracle(k1, k2, n, data):
     if data.draw(st.booleans()):
         # an output of a codeword, read as an input, shares that output with it
         x = data.draw(st.sampled_from(words))
-        y = data.draw(st.sampled_from(sorted(possible_outputs(params, x).members)))
+        y = data.draw(st.sampled_from(sorted(possible_outputs(params, x))))
         words.append(y)
         expected = False
     if data.draw(st.booleans()):
@@ -179,7 +180,7 @@ def test_verify_code_matches_pairwise_oracle_on_complement_closed_codes(k1, k2, 
     if data.draw(st.booleans()):
         # an output of a codeword, read as an input, shares that output with it
         x = data.draw(st.sampled_from(kept))
-        y = data.draw(st.sampled_from(sorted(possible_outputs(params, x).members)))
+        y = data.draw(st.sampled_from(sorted(possible_outputs(params, x))))
         labels.append(y.to_index())
     if data.draw(st.booleans()):
         labels.append(data.draw(st.sampled_from(labels)))
@@ -214,7 +215,7 @@ def test_verify_code_finds_a_one_half_conflict_through_its_mirror(monkeypatch):
     code = Code.from_words([Bits("1000"), Bits("1001")])
     assert verify_code(params, code) is False
     assert pairwise_valid(params, code) is False
-    # unsorted, each word's complement sits at the mirrored position, yet a
+    # unsorted, each word's complement sits at the mirror position, yet a
     # bisect for the first word starting with 1 would land at 0 and read no row
     order = ("1000", "1001", "0011", "1100", "0110", "0111")
     assert verify_code(params, Code(n=4, words=tuple(map(Bits, order)))) is False
@@ -315,17 +316,18 @@ def test_optimal_code_two_cliques():
 
 
 @st.composite
-def symmetric_graphs(draw):
-    n = draw(st.sampled_from([3, 4]))
+def random_halves(draw):
+    """A graph given by a random 0-half of 8 or 16 rows."""
+    n = draw(st.sampled_from([4, 5]))
     # one edge in 8 leaves most graphs disconnected, with dominated vertices
     edge_eighths = draw(st.sampled_from([4, 1]))
-    count = 1 << n
-    rows = [0] * count
+    count = 1 << (n - 1)
+    half = [0] * count
     for i, j in combinations(range(count), 2):
         if draw(st.integers(0, 7)) < edge_eighths:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows))
+            half[i] |= 1 << j
+            half[j] |= 1 << i
+    return ConfusabilityGraph(ChannelParams(1, 1), n, tuple(half))
 
 
 def assert_independent(graph, code):
@@ -336,11 +338,12 @@ def assert_independent(graph, code):
 
 
 @settings(max_examples=25)
-@given(symmetric_graphs())
+@given(random_halves())
 def test_optimal_code_matches_brute_on_random_graphs(graph):
     result = optimal_code(graph)
     assert result.optimal
-    assert result.size == brute_mis_size(list(graph.rows))
+    # the 1-half mirrors the 0-half and shares no edge with it
+    assert result.size == 2 * brute_mis_size(list(graph.half))
     assert list(result.witness) == sorted(result.witness)
     assert_independent(graph, result.witness)
 
@@ -364,21 +367,9 @@ def test_optimal_code_kernel_with_edges():
         assert verify_code(params, result.witness)
 
 
-def plain_copy(graph):
-    """The same rows in a hand-built graph, which takes the plain search path."""
-    return ConfusabilityGraph(graph.params, graph.n, graph.rows)
-
-
-def marked_mirrored(n, rows):
-    """A hand-built graph marked as build_graph marks its own.
-
-    The rows must keep the contract of `mirrored`: no row of a word that
-    starts with 0 reaches a word that starts with 1, and row N-1-i is row i
-    complemented.
-    """
-    graph = ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows))
-    object.__setattr__(graph, "mirrored", True)
-    return graph
+def plain_search(graph):
+    """The general search over every row of the graph, not its 0-half alone."""
+    return _result(graph.n, *_max_independent(graph.rows, inf))
 
 
 def test_mirrored_search_matches_the_plain_path():
@@ -387,13 +378,10 @@ def test_mirrored_search_matches_the_plain_path():
             params = ChannelParams(k1, k2)
             for n in range(1, 11):
                 graph = build_graph(params, n)
-                assert graph.mirrored
-                half = graph.vertex_count // 2
-                assert all(row < 1 << half for row in graph.rows[:half])
-                mirrored, plain = optimal_code(graph), optimal_code(plain_copy(graph))
-                assert mirrored.optimal and plain.optimal
-                assert mirrored.size == plain.size, (k1, k2, n)
-                assert verify_code(params, mirrored.witness)
+                found, plain = optimal_code(graph), plain_search(graph)
+                assert found.optimal and plain.optimal
+                assert found.size == plain.size, (k1, k2, n)
+                assert verify_code(params, found.witness)
                 assert verify_code(params, plain.witness)
 
 
@@ -401,7 +389,8 @@ def test_mirrored_search_matches_the_plain_path_on_complement_closed_graphs():
     # the kernels of build_graph at k1, k2 <= 6 and n <= 10 are empty; these
     # seeded graphs, each half a G(2^(n-1), p) and no edge between the halves
     # that start with 0 and with 1, leave a one-component 0-half kernel in 29
-    # of the 60 draws
+    # of the 60 draws. Each is drawn in full, complement pairs together, and
+    # given by its 0-half, whose mirror must give back every row
     rng = random.Random(11)
     for _ in range(60):
         n = rng.choice((4, 5))
@@ -413,11 +402,13 @@ def test_mirrored_search_matches_the_plain_path_on_complement_closed_graphs():
                 for a, b in ((u, v), (count - 1 - u, count - 1 - v)):
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-        graph = marked_mirrored(n, rows)
-        mirrored, plain = optimal_code(graph), optimal_code(plain_copy(graph))
-        assert mirrored.optimal and plain.optimal
-        assert mirrored.size == plain.size
-        assert_independent(graph, mirrored.witness)
+        graph = ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows[: count // 2]))
+        assert graph.rows == tuple(rows)
+        found, plain = optimal_code(graph), plain_search(graph)
+        assert found.optimal and plain.optimal
+        assert found.size == plain.size
+        assert_independent(graph, found.witness)
+        assert_independent(graph, plain.witness)
 
 
 def test_root_sweep_takes_low_degrees_first():
@@ -430,17 +421,18 @@ def test_root_sweep_takes_low_degrees_first():
 
 
 def test_optimal_code_closes_disjoint_cycles():
-    # 25 disjoint 5-cycles and 3 isolated vertices: nothing is dominated, and
-    # each cycle is its own component with optimum 2
-    rows = [0] * 128
+    # a 0-half of 25 disjoint 5-cycles and 3 isolated vertices: nothing is
+    # dominated, and each cycle is its own component with optimum 2, so the
+    # half holds 53 and the graph twice that
+    half = [0] * 128
     for u in range(125):
         v = u - u % 5 + (u + 1) % 5
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    graph = ConfusabilityGraph(ChannelParams(1, 1), 7, tuple(rows))
+        half[u] |= 1 << v
+        half[v] |= 1 << u
+    graph = ConfusabilityGraph(ChannelParams(1, 1), 8, tuple(half))
     result = optimal_code(graph)
     assert result.optimal
-    assert result.size == 53
+    assert result.size == 106
     assert_independent(graph, result.witness)
 
 
@@ -459,15 +451,16 @@ def test_optimal_code_honours_deadline_on_large_kernel():
 
 
 def test_optimal_code_search_timeout_keeps_best_found():
-    # a seeded G(128, 0.1): connected, barely reducible, and far too slow to
-    # close, so the limit cuts the branch and reduce after its first dives
+    # a 0-half that is a seeded G(128, 0.1): connected, barely reducible, and
+    # far too slow to close, so the limit cuts the branch and reduce after its
+    # first dives
     rng = random.Random(0)
-    rows = [0] * 128
+    half = [0] * 128
     for u, v in combinations(range(128), 2):
         if rng.random() < 0.1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    graph = ConfusabilityGraph(ChannelParams(1, 1), 7, tuple(rows))
+            half[u] |= 1 << v
+            half[v] |= 1 << u
+    graph = ConfusabilityGraph(ChannelParams(1, 1), 8, tuple(half))
     start = time.perf_counter()
     result = optimal_code(graph, time_limit=0.5)
     assert time.perf_counter() - start < 0.5 + DEADLINE_SLACK
@@ -586,7 +579,7 @@ def test_replace_codeword_agrees_with_output_set_inclusion():
         params = ChannelParams(k1, k2)
         for n in range(1, 6):
             words = list(all_sequences(n))
-            outputs = {x: possible_outputs(params, x).members for x in words}
+            outputs = {x: possible_outputs(params, x) for x in words}
             for x, x_new in product(words, repeat=2):
                 code = Code.from_words([x])
                 if outputs[x_new] <= outputs[x]:
@@ -626,10 +619,8 @@ def test_replacement_preserves_zero_error(raw_params, n, data):
     params = ChannelParams(*raw_params)
     seqs = list(all_sequences(n))
     x = data.draw(st.sampled_from(seqs))
-    outputs_x = possible_outputs(params, x).members
-    candidates = [
-        s for s in seqs if s != x and possible_outputs(params, s).members <= outputs_x
-    ]
+    outputs_x = possible_outputs(params, x)
+    candidates = [s for s in seqs if s != x and possible_outputs(params, s) <= outputs_x]
     if not candidates:
         return
     x_new = data.draw(st.sampled_from(candidates))

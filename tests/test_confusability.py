@@ -8,6 +8,7 @@ from zecap import (
     Bits,
     CapExceededError,
     ChannelParams,
+    ConfusabilityGraph,
     all_sequences,
     build_graph,
     confusable_dp,
@@ -59,13 +60,13 @@ def test_possible_outputs_cap():
 def test_possible_outputs_past_the_recursion_limit():
     # the cap counts outputs, not symbols: a long input with one output passes
     x = Bits("0" * 1500)
-    assert possible_outputs(ChannelParams(2, 1), x).members == {x}
+    assert possible_outputs(ChannelParams(2, 1), x) == {x}
 
 
 @given(small_params, st.text(alphabet="01", min_size=1, max_size=7))
 def test_possible_outputs_match_transition_scan(params, s):
     x = Bits(s)
-    assert possible_outputs(params, x).members == enumerate_outputs(params, x)
+    assert possible_outputs(params, x) == enumerate_outputs(params, x)
 
 
 @pytest.mark.parametrize(
@@ -290,18 +291,18 @@ def test_suffix_sets_match_a_walk_of_the_joint_steps():
             for length in range(4):
                 table = _suffix_sets(k1, k2, length)
                 for a_state, sigma, joint in product(
-                    range(len(steps_in)), range(1 << length), range(joints)
+                    range(len(steps_in)), product("01", repeat=length), range(joints)
                 ):
                     expected = 0
                     for beta in range(1 << length):
                         state, alive = a_state, {joint}
-                        for depth in reversed(range(length)):
-                            s_a, s_b = sigma >> depth & 1, beta >> depth & 1
+                        for depth, symbol in zip(reversed(range(length)), sigma):
+                            s_a, s_b = int(symbol), beta >> depth & 1
                             step = moves[2 * state + s_a]
                             state = steps_in[state][s_a][0]
                             alive = {key for j in alive for key in step[2 * j + s_b]}
                         expected |= bool(alive) << beta
-                    assert table[a_state][sigma][joint] == expected
+                    assert table[a_state]["".join(sigma)][joint] == expected
 
 
 def test_mirrored_graph_matches_the_full_walk():
@@ -329,6 +330,44 @@ def test_graph_value_identical_across_runs():
     assert a == b
 
 
+def test_graph_equality_ignores_the_rows_read():
+    # `rows` is cached on first read; equality and hash stay on the 0-half
+    a = build_graph(ChannelParams(2, 6), 7)
+    b = build_graph(ChannelParams(2, 6), 7)
+    assert len(a.rows) == 128
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a, b} == {b}
+
+
+def test_graph_refuses_a_malformed_half():
+    params = ChannelParams(1, 1)
+    with pytest.raises(ValueError, match="has 4 rows, got 8"):
+        ConfusabilityGraph(params, 3, (0,) * 8)
+    with pytest.raises(ValueError, match="has 4 rows, got 3"):
+        ConfusabilityGraph(params, 3, (0,) * 3)
+    for row in (1 << 4, 1 << 7 | 1, -1):
+        with pytest.raises(ValueError, match="starts with 1"):
+            ConfusabilityGraph(params, 3, (0, row, 0, 0))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            ConfusabilityGraph(params, n, (0,))
+    # the top bit of a 0-half row is its last word, the edge 0-3 mirrors to
+    # 4-7, and n = 1 has one row
+    graph = ConfusabilityGraph(params, 3, (1 << 3, 0, 0, 1))
+    assert list(graph.edges()) == [(0, 3), (4, 7)]
+    assert graph.edge_count() == 2
+    assert ConfusabilityGraph(params, 1, (0,)).rows == (0, 0)
+
+
+@pytest.mark.parametrize("k1, k2, n", [(2, 5, 11), (3, 5, 12), (1, 5, 12), (4, 6, 12)])
+def test_edge_count_matches_the_full_rows(k1, k2, n):
+    # the benchmark's search points
+    graph = build_graph(ChannelParams(k1, k2), n)
+    assert graph.edge_count() == sum(row.bit_count() for row in graph.rows) // 2
+    assert graph.edge_count() == sum(1 for _ in graph.edges())
+
+
 @pytest.mark.parametrize("k1, k2", [(2, 2), (3, 2), (2, 4), (4, 3)])
 def test_graph_dominates_single_memory_marginals(k1, k2):
     n = 5
@@ -346,7 +385,7 @@ def test_short_run_inputs_have_singleton_outputs(k1, k2):
     bound = min(k1, k2) - 1
     for x in all_sequences(6):
         if not contains_run(x, bound):
-            assert possible_outputs(params, x).members == frozenset({x})
+            assert possible_outputs(params, x) == frozenset({x})
 
 
 def test_adjacency_text_format():

@@ -32,7 +32,7 @@ def test_sample_deterministic_steps():
 
 def test_sample_lands_in_output_set():
     params = ChannelParams(2, 1)
-    outputs = possible_outputs(params, Bits("0011")).members
+    outputs = possible_outputs(params, Bits("0011"))
     seen = {sample_output(params, Bits("0011"), seed) for seed in range(64)}
     assert seen <= outputs
     assert seen == {Bits("0001"), Bits("0011")}
