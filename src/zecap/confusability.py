@@ -30,13 +30,16 @@ to the next joint states; a's own input run state moves by
 The walk stops SUFFIX symbols short of the leaves. A cached suffix table,
 a DP over suffix length on the joint table, gives for a's state, a's last
 SUFFIX symbols and a joint state the set of b-suffixes that can still share
-an output from there. Each word's row is then finished at once: its
-node's masks are grouped by that set, read off by the word's own last
-SUFFIX symbols, and each group is ANDed with the ranks whose last SUFFIX
-symbols fall in the set. A word that has parted from every other word stops
-sooner: masks only shrink going down (a parent's, ANDed with a column, then
-ORed over moves) and b = a keeps the word's own bit in them, so a node
-holding one word whose masks OR to that bit alone yields an empty row.
+an output from there. Each word's row is then finished at once: each of
+its node's masks is ANDed with the union of the ranks whose last SUFFIX
+symbols fall in the set that the word's own last SUFFIX symbols read off
+for that joint state. A union is made the first time a call reads its
+set, so a call ORs only the sets it meets (a dozen to a few hundred at
+SUFFIX = 4) and never all 2^(2^SUFFIX) of them. A word that has parted
+from every other word stops sooner: masks only shrink going down (a
+parent's, ANDed with a column, then ORed over moves) and b = a keeps the
+word's own bit in them, so a node holding one word whose masks OR to that
+bit alone yields an empty row.
 
 No output differs from the input at t = 1, so no word that starts with 0
 is confusable with one that starts with 1: half_rows feeds confusable_rows
@@ -65,7 +68,7 @@ from .sequences import Bits, run_steps
 OUTPUT_CAP = 1 << 18
 GRAPH_CAP = 16  # the graph route's whole reach
 # symbols each confusability row is finished with from `_suffix_sets`
-SUFFIX = 3
+SUFFIX = 4
 
 
 def possible_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
@@ -267,6 +270,9 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     every later one. A trie node covers ranks [lo, hi) and maps a joint
     (b run state, y run state) to a rank mask. A one-word node whose masks OR
     to its own bit (b = a keeps it) yields 0 at once: masks only shrink below.
+    The walk stops SUFFIX symbols above the leaves and finishes each word's
+    row there with `_suffix_sets`, ANDing each mask with the union of the
+    ranks ending in its set of b-suffixes, made when the call first reads it.
     """
     words = sorted(words)
     if not words:
@@ -287,10 +293,8 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
         for depth in range(n - length, n):
             mask &= columns[depth][beta >> (n - 1 - depth) & 1]
         by_suffix.append(mask)
-    # per set of b-suffixes, the ranks ending in one of them
-    unions = [0]
-    for mask in by_suffix:
-        unions += [union | mask for union in unions]
+    # per set of b-suffixes, the ranks ending in one of them, made when first read
+    unions = {0: 0}
     stack = [(0, 0, len(words), 0, {0: full})]
     while stack:
         depth, lo, hi, a_state, states = stack.pop()
@@ -301,13 +305,16 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
             kinds_of = suffix_sets[a_state]
             for rank in range(lo, hi):
                 kinds = kinds_of[words[rank][depth:]]
-                acc: dict[int, int] = {}
-                for joint, mask in states.items():
-                    if kind := kinds[joint]:
-                        acc[kind] = acc.get(kind, 0) | mask
                 row = 0
-                for kind, mask in acc.items():
-                    row |= mask & unions[kind]
+                for joint, mask in states.items():
+                    kind = kinds[joint]
+                    union = unions.get(kind)
+                    if union is None:
+                        union = unions[kind] = reduce(
+                            or_,
+                            (ranks for beta, ranks in enumerate(by_suffix) if kind >> beta & 1),
+                        )
+                    row |= mask & union
                 yield row & ~(1 << rank)
             continue
         zeros, ones = columns[depth]

@@ -1,3 +1,4 @@
+from hashlib import sha256
 from itertools import combinations, product
 
 import pytest
@@ -23,6 +24,7 @@ from zecap.confusability import (
     _joint_steps,
     _suffix_sets,
     confusable_rows,
+    half_rows,
 )
 from zecap.sequences import run_steps
 
@@ -276,10 +278,32 @@ def test_rows_of_words_that_part_only_in_the_suffix():
         (2, ["01"], [0]),
         (2, ["11", "10", "01", "00"], [2, 1, 8, 4]),
         (2, ["01", "01", "10"], [2, 1, 0]),
+        # rows from confusable_dp, a repeat confusable with its copy
+        (3, ["011", "110", "010", "101", "000"], [6, 5, 3, 16, 8]),
+        (4, ["0110", "0101", "1010", "0100", "1001", "0010", "0110"], [30, 29, 27, 23, 15, 64, 32]),
     ],
 )
 def test_rows_when_the_root_is_at_the_suffix_depth(n, words, rows):
     assert list(confusable_rows(ChannelParams(2, 2), n, words)) == rows
+
+
+@pytest.mark.parametrize(
+    "k1, k2, n, digest",
+    [
+        (2, 5, 11, "f62126b366ff91d4621503d66bce9cedbaace218425ddab46ab135e4e25f1e2c"),
+        (3, 5, 12, "430684f8c43606bbf480a4fb4de542dda9bdf5e9de76b0c049d1def9dbbe2889"),
+        (1, 5, 12, "c8e7176393799357ea9c35e4140b1958c35366c6857257f3731b236f75cf13a0"),
+        (4, 6, 12, "a558a7278b2a92e16e3cbb69344b635bf237e8f80c30410b37e1945bc7a1320e"),
+        (3, 7, 14, "10dfa316059cd494e7b681a9523207e4354f229ef7eeb05ed19c6e3d01bb3b09"),
+    ],
+)
+def test_half_rows_match_pinned_digests(k1, k2, n, digest):
+    # sha256 of the 0-half rows in order, each as 2^(n-1) bits little-endian,
+    # taken from the walk that finished rows at SUFFIX = 3
+    hashed = sha256()
+    for row in half_rows(ChannelParams(k1, k2), n):
+        hashed.update(row.to_bytes(1 << (n - 4), "little"))
+    assert hashed.hexdigest() == digest
 
 
 def test_suffix_sets_match_a_walk_of_the_joint_steps():
@@ -288,7 +312,7 @@ def test_suffix_sets_match_a_walk_of_the_joint_steps():
         for k2 in range(1, 5):
             steps_in, moves = run_steps(k1), _joint_steps(k1, k2)
             joints = len(steps_in) * len(run_steps(k2))
-            for length in range(4):
+            for length in range(SUFFIX + 1):
                 table = _suffix_sets(k1, k2, length)
                 for a_state, sigma, joint in product(
                     range(len(steps_in)), product("01", repeat=length), range(joints)
