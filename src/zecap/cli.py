@@ -23,7 +23,7 @@ from .codesearch import (
     verify_code,
     write_code_file,
 )
-from .confusability import build_graph
+from .confusability import GRAPH_CAP, build_graph
 from .constructions import (
     count_forbidden_run,
     count_no_run_break,
@@ -128,6 +128,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= n-min <= n-max")
+    if args.n_max > GRAPH_CAP:  # refused before the header, as search would at n-max
+        raise CapExceededError(f"graph over 2^{args.n_max} vertices exceeds cap {GRAPH_CAP}")
     with_families = args.k1 == 1 and args.k2 >= 4
     print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
     status = EXIT_OK

@@ -13,33 +13,33 @@ confusable_dp runs it for one pair and stays as the reference; the
 exhaustive output-set enumerator `tests/oracles.enumerate_outputs` is the
 slow one for tests.
 
-confusable_rows runs the same DP bit-parallel over a set of words, given
-as '0'/'1' strings, for the graph (all length-n words) and code
-verification alike: one walk of the set's trie, as input a, carries per
-joint state (b input run state, output run state) the union bitmask of the
-ranks of the words b whose prefix reaches it; appending a symbol to b ANDs
-that mask with the ranks having that symbol at that depth. Those column
-masks come from one join of the words, highest rank first, sliced every n
-symbols from each depth and read as binary, and a trie node splits where
-its prefix followed by 1 would sort. A joint state is b's `channel_steps`
-state. The walk reads a cached joint table built from `channel_steps`,
-mapping (a's input run state and symbol, joint state, b's symbol) straight
-to the next joint states; a's own input run state moves by
+confusable_rows runs the same DP bit-parallel over a set of words, given as
+'0'/'1' strings, for the graph (all length-n words) and code verification
+alike: one walk of the set's trie, as input a, carries per joint state (b
+input run state, output run state) the union bitmask of the ranks of the
+words b whose prefix reaches it; appending a symbol to b ANDs that mask
+with the ranks having that symbol at that depth. Those column masks come
+from one join of the words, highest rank first, sliced every n symbols from
+each depth and read as binary; a trie node splits after as many ranks as
+its slice of the 0-column has set bits. A joint state is b's
+`channel_steps` state. The walk reads a cached joint table built from
+`channel_steps`, mapping (a's input run state and symbol, joint state, b's
+symbol) straight to the next joint states; a's own input run state moves by
 `sequences.run_steps`.
 
-The walk stops SUFFIX symbols short of the leaves. A cached suffix table,
-a DP over suffix length on the joint table, gives for a's state, a's last
+The walk stops SUFFIX symbols short of the leaves. A cached suffix table, a
+DP over suffix length on the joint table, gives for a's state, a's last
 SUFFIX symbols and a joint state the set of b-suffixes that can still share
-an output from there. Each word's row is then finished at once: each of
-its node's masks is ANDed with the union of the ranks whose last SUFFIX
-symbols fall in the set that the word's own last SUFFIX symbols read off
-for that joint state. A union is made the first time a call reads its
-set, so a call ORs only the sets it meets (a dozen to a few hundred at
-SUFFIX = 4) and never all 2^(2^SUFFIX) of them. A word that has parted
-from every other word stops sooner: masks only shrink going down (a
-parent's, ANDed with a column, then ORed over moves) and b = a keeps the
-word's own bit in them, so a node holding one word whose masks OR to that
-bit alone yields an empty row.
+an output from there. Each word's row is then finished at once: each of its
+node's masks is ANDed with the union of the ranks whose last SUFFIX symbols
+fall in the set that the word's own last SUFFIX symbols read off for that
+joint state. The ranks per b-suffix are doubled out of the last SUFFIX
+columns when the walk first reaches that depth, and a set's union is ORed
+over its bits alone when the call first reads it: a dozen to a few hundred
+sets at SUFFIX = 4. A word that has parted from every other word stops
+sooner: masks only shrink going down (a parent's, ANDed with a column, then
+ORed over moves) and b = a keeps the word's own bit in them, so a node
+holding one word whose masks OR to that bit alone yields an empty row.
 
 No output differs from the input at t = 1, so no word that starts with 0
 is confusable with one that starts with 1: half_rows feeds confusable_rows
@@ -54,7 +54,6 @@ only when `rows` is first read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import product
@@ -267,12 +266,12 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     smallest of them; a repeat is confusable with its copies, and a consumer
     may stop early. The caller checks the lengths: the columns are read by
     slicing the words joined end to end, so a word of another length shifts
-    every later one. A trie node covers ranks [lo, hi) and maps a joint
-    (b run state, y run state) to a rank mask. A one-word node whose masks OR
-    to its own bit (b = a keeps it) yields 0 at once: masks only shrink below.
-    The walk stops SUFFIX symbols above the leaves and finishes each word's
-    row there with `_suffix_sets`, ANDing each mask with the union of the
-    ranks ending in its set of b-suffixes, made when the call first reads it.
+    every later one. A trie node covers ranks [lo, hi), splits them at its
+    0-column's popcount, and maps a joint (b run state, y run state) to a rank
+    mask. A one-word node whose masks OR to its own bit (b = a keeps it) yields
+    0 at once: masks only shrink below. The walk stops SUFFIX symbols above the
+    leaves; there each mask ANDs the ranks ending in its `_suffix_sets` set of
+    b-suffixes, ORed over the set's bits from per-suffix ranks made on arrival.
     """
     words = sorted(words)
     if not words:
@@ -286,13 +285,7 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     joined = "".join(reversed(words))
     # per depth, the ranks whose symbol there is 0 and those where it is 1
     columns = [(full ^ ones, ones) for ones in (int(joined[depth::n], 2) for depth in range(n))]
-    # the ranks whose last `length` symbols read beta, per beta
-    by_suffix = []
-    for beta in range(1 << length):
-        mask = full
-        for depth in range(n - length, n):
-            mask &= columns[depth][beta >> (n - 1 - depth) & 1]
-        by_suffix.append(mask)
+    by_suffix = None  # per b-suffix beta, the ranks ending in it, made when first needed
     # per set of b-suffixes, the ranks ending in one of them, made when first read
     unions = {0: 0}
     stack = [(0, 0, len(words), 0, {0: full})]
@@ -302,6 +295,10 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
             yield 0  # the word has parted: no other rank is left below
             continue
         if depth == n - length:
+            if by_suffix is None:
+                by_suffix = [full]  # beta read as a label, its first symbol highest
+                for column in columns[depth:]:
+                    by_suffix = [mask & ranks for mask in by_suffix for ranks in column]
             kinds_of = suffix_sets[a_state]
             for rank in range(lo, hi):
                 kinds = kinds_of[words[rank][depth:]]
@@ -310,10 +307,12 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
                     kind = kinds[joint]
                     union = unions.get(kind)
                     if union is None:
-                        union = unions[kind] = reduce(
-                            or_,
-                            (ranks for beta, ranks in enumerate(by_suffix) if kind >> beta & 1),
-                        )
+                        union, rest = 0, kind
+                        while rest:
+                            beta = rest.bit_length() - 1
+                            union |= by_suffix[beta]
+                            rest ^= 1 << beta
+                        unions[kind] = union
                     row |= mask & union
                 yield row & ~(1 << rank)
             continue
@@ -324,7 +323,8 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
                 moves.append((2 * joint, moved))
             if moved := mask & ones:
                 moves.append((2 * joint + 1, moved))
-        split = bisect_left(words, words[lo][:depth] + "1", lo, hi)
+        # the ranks in [lo, hi) share their first `depth` symbols, so the 0s come first
+        split = lo + (zeros >> lo & ~(-1 << (hi - lo))).bit_count()
         for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
             if child_lo == child_hi:
                 continue

@@ -345,9 +345,22 @@ def test_rates_refuses_past_cap(capsys):
         capsys, "rates", "--k1", "1", "--k2", "5", "--n-min", n, "--n-max", n
     )
     assert status == 4
-    assert out == "n,size,rate_bits,optimal,family_lower,family_upper\n"
-    assert err.startswith("refused: ")
-    assert len(err.splitlines()) == 1
+    assert out == ""
+    assert err == f"refused: graph over 2^{n} vertices exceeds cap {GRAPH_CAP}\n"
+
+
+def test_rates_refuses_past_cap_before_any_row(capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a row was searched before the cap was checked")
+
+    monkeypatch.setattr("zecap.confusability.confusable_rows", no_walk)
+    status, out, err = run_cli(
+        capsys, "rates", "--k1", "1", "--k2", "4",
+        "--n-min", str(GRAPH_CAP), "--n-max", str(GRAPH_CAP + 1),
+    )
+    assert status == 4
+    assert out == ""
+    assert err == f"refused: graph over 2^{GRAPH_CAP + 1} vertices exceeds cap {GRAPH_CAP}\n"
 
 
 @pytest.mark.parametrize("n_min, n_max", [("0", "4"), ("5", "4")])

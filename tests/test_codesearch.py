@@ -234,13 +234,25 @@ def test_verify_code_sees_repeats_on_both_halves(n):
     assert verify_code(params, Code(n=n, words=(twin, word, word))) is False
 
 
+def bench_confirm_code(k1, k2):
+    """The code a benchmark workload verifies under (k1, k2), at n = 12.
+
+    Under (4, 4) it is forbidden_run_code(12, 3), 466 words closed under
+    complement; otherwise the 64 evenly spaced words of the search witness.
+    """
+    params = ChannelParams(k1, k2)
+    if (k1, k2) == (4, 4):
+        return params, forbidden_run_code(12, 3)
+    words = search(params, 12).witness.words
+    return params, Code.from_words([words[i * len(words) // 64] for i in range(64)], n=12)
+
+
 @pytest.mark.parametrize("k1, k2", [(4, 6), (3, 5)])
 def test_verify_code_on_the_benchmark_confirm_codes(k1, k2):
     # the 64 evenly spaced witness words a search workload verifies: most
     # part from every other word well above the suffix depth
-    params, n = ChannelParams(k1, k2), 12
-    words = search(params, n).witness.words
-    code = Code.from_words([words[i * len(words) // 64] for i in range(64)], n=n)
+    params, code = bench_confirm_code(k1, k2)
+    n = code.n
     assert verify_code(params, code) is pairwise_valid(params, code) is True
     depth = n - SUFFIX
     graph = build_graph(params, n)
@@ -268,6 +280,59 @@ def test_verify_code_on_the_benchmark_confirm_codes(k1, k2):
         pytest.fail("no codeword parts early with a neighbour of its own")
     bigger = Code.from_words([*code, graph.sequence(added)], n=n)
     assert verify_code(params, bigger) is pairwise_valid(params, bigger) is False
+
+
+def test_verify_code_on_the_benchmark_traffic_code(monkeypatch):
+    # no word of this code parts above the suffix depth, and the code is
+    # closed under complement, so verify reads the rows of its 0-half alone
+    params, code = bench_confirm_code(4, 4)
+    n = code.n
+    assert len(code) == 466
+    read = counting_rows(monkeypatch)
+    assert verify_code(params, code)
+    assert len(read) == len(code) // 2
+    # each codeword's one output is itself and no other word's, so only a
+    # repeat conflicts with a codeword; two new words can conflict, here
+    # ones that differ above the suffix
+    assert verify_code(params, Code(n=n, words=(*code.words, code.words[100]))) is False
+    x, y = next(
+        (x, y)
+        for x in all_sequences(n)
+        for y in (Bits.from_index(x.to_index() ^ 1 << bit, n) for bit in range(SUFFIX, n))
+        if x not in code.words and y not in code.words and confusable_dp(params, x, y)
+    )
+    assert verify_code(params, Code.from_words([*code, x, y], n=n)) is False
+    # with their complements too the code is closed again: the 0-half must catch it
+    last = (1 << n) - 1
+    closed = Code.from_words(
+        [*code, x, y, *(Bits.from_index(last - w.to_index(), n) for w in (x, y))], n=n
+    )
+    read.clear()
+    assert verify_code(params, closed) is False
+    assert len(read) <= len(closed) // 2
+
+
+@pytest.mark.parametrize("k1, k2", [(3, 5), (4, 6), (4, 4)])
+def test_rows_of_the_benchmark_confirm_codes_match_pairwise_dp(k1, k2):
+    params, code = bench_confirm_code(k1, k2)
+    n = code.n
+    rng = random.Random(k1 * 10 + k2)
+    # each codeword beside a seeded one-symbol flip of it, so rows are not all empty
+    words = [str(w) for w in code]
+    words += [format(int(w, 2) ^ 1 << rng.randrange(n), f"0{n}b") for w in words]
+    ranked = sorted(words)
+    rows = list(confusable_rows(params, n, words))
+    assert any(rows)
+    if len(code) == 64:
+        pairs = list(combinations(range(len(ranked)), 2))
+    else:
+        pairs = [rng.sample(range(len(ranked)), 2) for _ in range(2000)]
+        # and each codeword with its flip, most of them confusable
+        pairs += [(ranked.index(w), ranked.index(x)) for w, x in zip(words, words[len(code):])]
+    for r, s in pairs:
+        if ranked[r] != ranked[s]:
+            expected = confusable_dp(params, Bits(ranked[r]), Bits(ranked[s]))
+            assert (rows[r] >> s & 1, rows[s] >> r & 1) == (expected, expected), (r, s)
 
 
 @pytest.mark.parametrize(
