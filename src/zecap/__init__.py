@@ -30,8 +30,6 @@ from .confusability import (
 )
 from .constructions import (
     CountTable,
-    count_forbidden_run,
-    count_no_run_break,
     forbidden_run_code,
     forbidden_run_counts,
     growth_ratio,
@@ -39,7 +37,7 @@ from .constructions import (
     pairwise_block_code,
 )
 from .errors import CapExceededError, PreconditionError, ZecapError
-from .sequences import Bits, all_sequences, contains_pattern, contains_run
+from .sequences import Bits, all_sequences, contains_run
 from .simulate import DecodeResult, TrialReport, decode, sample_output, zero_error_trial
 
 __version__ = "0.1.0"
@@ -64,10 +62,7 @@ __all__ = [
     "condition_a",
     "condition_b",
     "confusable_dp",
-    "contains_pattern",
     "contains_run",
-    "count_forbidden_run",
-    "count_no_run_break",
     "decode",
     "forbidden_run_code",
     "forbidden_run_counts",

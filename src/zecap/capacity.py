@@ -80,9 +80,6 @@ class CapacityResult:
         else:
             raise ValueError(f"unknown result kind {self.kind!r}")
 
-    def value_or_upper(self) -> float:
-        return self.value if self.kind == "exact" else self.upper  # type: ignore[return-value]
-
 
 def _exact(value: float, provenance: str) -> CapacityResult:
     return CapacityResult(kind="exact", provenance=provenance, value=value)

@@ -25,8 +25,6 @@ from .codesearch import (
 )
 from .confusability import GRAPH_CAP, build_graph
 from .constructions import (
-    count_forbidden_run,
-    count_no_run_break,
     forbidden_run_code,
     forbidden_run_counts,
     no_run_break_counts,
@@ -131,13 +129,16 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     if args.n_max > GRAPH_CAP:  # refused before the header, as search would at n-max
         raise CapExceededError(f"graph over 2^{args.n_max} vertices exceeds cap {GRAPH_CAP}")
     with_families = args.k1 == 1 and args.k2 >= 4
+    if with_families:
+        lower = forbidden_run_counts(args.k2 - 1, args.n_max).counts
+        upper = no_run_break_counts(args.k2, args.n_max).counts
     print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
     status = EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
         result = search(params, n, time_limit=args.time_limit)
         row = f"{n},{result.size},{rate(n, result.size):.12g},{int(result.optimal)}"
         if with_families:
-            row += f",{count_forbidden_run(n, args.k2 - 1)},{count_no_run_break(n, args.k2)}"
+            row += f",{lower[n]},{upper[n]}"
         print(row)
         if not result.optimal:
             print(f"n={n}: search timed out, size is a lower bound", file=sys.stderr)

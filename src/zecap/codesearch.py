@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from math import inf, log2
+from math import log2
 
 from .channel import ChannelParams, channel_steps
 from .confusability import ConfusabilityGraph, confusable_rows, half_rows, mirror
@@ -253,11 +253,11 @@ def _max_independent(rows: tuple[int, ...], deadline: float) -> tuple[int, bool]
     return found, True
 
 
-def _deadline(time_limit: float | None) -> float:
-    """The `time.monotonic()` reading a limit of time_limit seconds from now ends at."""
-    if time_limit is not None and not time_limit >= 0:
+def _deadline(time_limit: float) -> float:
+    """The `time.monotonic()` reading time_limit seconds from now ends at; math.inf never ends."""
+    if not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0, got {time_limit}")
-    return inf if time_limit is None else time.monotonic() + time_limit
+    return time.monotonic() + time_limit
 
 
 def _result(n: int, mask: int, completed: bool) -> SearchResult:
@@ -273,7 +273,7 @@ def _mirrored_search(n: int, half: tuple[int, ...], deadline: float) -> SearchRe
 
 
 def search(
-    params: ChannelParams, n: int, *, time_limit: float | None = DEFAULT_TIME_LIMIT
+    params: ChannelParams, n: int, *, time_limit: float = DEFAULT_TIME_LIMIT
 ) -> SearchResult:
     """optimal_code(build_graph(params, n)), from the 0-half rows alone.
 
@@ -291,7 +291,7 @@ def search(
 
 
 def optimal_code(
-    graph: ConfusabilityGraph, *, time_limit: float | None = DEFAULT_TIME_LIMIT
+    graph: ConfusabilityGraph, *, time_limit: float = DEFAULT_TIME_LIMIT
 ) -> SearchResult:
     """Exact largest zero-error code for the graph's channel and length.
 

@@ -155,16 +155,6 @@ class ConfusabilityGraph:
         """Every vertex's row: the 0-half, then its mirror."""
         return (*self.half, *(mirror(row, self.n) for row in reversed(self.half)))
 
-    @property
-    def vertex_count(self) -> int:
-        return 1 << self.n
-
-    def sequence(self, i: int) -> Bits:
-        return Bits.from_index(i, self.n)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
     def neighbors(self, i: int) -> Iterator[int]:
         bits = f"{self.rows[i]:b}"[::-1]  # bit j at index j
         j = bits.find("1")
@@ -172,25 +162,15 @@ class ConfusabilityGraph:
             yield j
             j = bits.find("1", j + 1)
 
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def edge_count(self) -> int:
         # each half holds its own edges, counted twice, and the halves match
         return sum(row.bit_count() for row in self.half)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.vertex_count):
-            yield from ((i, j) for j in self.neighbors(i) if j > i)
-
     def adjacency_lines(self) -> Iterator[str]:
         """One line per vertex, formed as it is read: `i: j1 j2 ...` (neighbors ascending)."""
-        for i in range(self.vertex_count):
+        for i in range(len(self.rows)):
             neighbors = " ".join(map(str, self.neighbors(i)))
             yield f"{i}: {neighbors}\n" if neighbors else f"{i}:\n"
-
-    def adjacency_text(self) -> str:
-        return "".join(self.adjacency_lines())
 
 
 @cache

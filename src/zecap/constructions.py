@@ -80,11 +80,6 @@ def forbidden_run_counts(run_bound: int, n_max: int) -> CountTable:
     return CountTable(parameter=run_bound, counts=tuple(counts))
 
 
-def count_forbidden_run(n: int, run_bound: int) -> int:
-    """Number of length-n sequences with all runs shorter than run_bound."""
-    return forbidden_run_counts(run_bound, n).counts[n]
-
-
 def no_run_break_counts(k2: int, n_max: int) -> CountTable:
     """Sizes of the family avoiding 0^(k2-1)1 and 1^(k2-1)0, for n = 0..n_max.
 
@@ -108,11 +103,6 @@ def no_run_break_counts(k2: int, n_max: int) -> CountTable:
         ways = nxt
         counts.append(sum(ways))
     return CountTable(parameter=k2, counts=tuple(counts))
-
-
-def count_no_run_break(n: int, k2: int) -> int:
-    """Number of length-n sequences avoiding 0^(k2-1)1 and 1^(k2-1)0."""
-    return no_run_break_counts(k2, n).counts[n]
 
 
 def growth_ratio(run_bound: int, n: int) -> float:

@@ -53,12 +53,6 @@ class Bits:
             raise ValueError(f"position {t} out of range 1..{len(self._s)}")
         return ord(self._s[t - 1]) - 48
 
-    def slice(self, n1: int, n2: int) -> "Bits":
-        """Sub-sequence from position n1 to n2 inclusive (1-based, n1 <= n2)."""
-        if not 1 <= n1 <= n2 <= len(self._s):
-            raise ValueError(f"slice {n1}:{n2} out of range for length {len(self._s)}")
-        return Bits(self._s[n1 - 1 : n2])
-
     def prefix(self, t: int) -> "Bits":
         """The first t symbols (t may be 0)."""
         if not 0 <= t <= len(self._s):
@@ -98,11 +92,6 @@ def contains_run(x: Bits, run_length: int) -> bool:
     if run_length < 1:
         raise ValueError("run length must be >= 1")
     return any(sum(1 for _ in group) >= run_length for _, group in groupby(str(x)))
-
-
-def contains_pattern(x: Bits, pattern: Bits) -> bool:
-    """True iff pattern occurs as a contiguous substring of x."""
-    return str(pattern) in str(x)
 
 
 def all_sequences(n: int) -> Iterator[Bits]:

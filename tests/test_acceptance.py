@@ -9,21 +9,19 @@ from itertools import combinations
 from math import log2
 
 from zecap import (
-    Bits,
     ChannelParams,
     all_sequences,
     build_graph,
     capacity,
     bounds_table,
     confusable_dp,
-    contains_pattern,
     contains_run,
-    count_forbidden_run,
-    count_no_run_break,
     forbidden_run_code,
+    forbidden_run_counts,
     growth_ratio,
     lambda_root,
     multinacci_value,
+    no_run_break_counts,
     omega_root,
     optimal_code,
     pairwise_block_code,
@@ -81,10 +79,11 @@ def test_c04_output_memory_4_sandwich():
     params = ChannelParams(1, 4)
     ok = True
     triples = []
+    lows = forbidden_run_counts(3, 10).counts
+    highs = no_run_break_counts(4, 10).counts
     for n in range(4, 11):
         result = optimal_code(build_graph(params, n), time_limit=240.0)
-        low = count_forbidden_run(n, 3)
-        high = count_no_run_break(n, 4)
+        low, high = lows[n], highs[n]
         triples.append((low, result.size, high))
         ok = ok and result.optimal and low <= result.size <= high
     _report("C04 (1,4) sandwich for n=4..10", ok, f"(low,size,high)={triples}")
@@ -112,19 +111,19 @@ def test_c05_root_values_identity_residuals():
 def test_c06_recurrences_match_enumeration():
     ok = True
     for run_bound in range(2, 7):
+        counts = forbidden_run_counts(run_bound, 16).counts
         for n in range(0, 17):
             brute = sum(1 for x in all_sequences(n) if not contains_run(x, run_bound))
-            ok = ok and count_forbidden_run(n, run_bound) == brute
+            ok = ok and counts[n] == brute
     for k2 in (4, 5, 6):
-        lead_0 = Bits("0" * (k2 - 1) + "1")
-        lead_1 = Bits("1" * (k2 - 1) + "0")
+        counts = no_run_break_counts(k2, 16).counts
+        lead_0 = "0" * (k2 - 1) + "1"
+        lead_1 = "1" * (k2 - 1) + "0"
         for n in range(0, 17):
             brute = sum(
-                1
-                for x in all_sequences(n)
-                if not contains_pattern(x, lead_0) and not contains_pattern(x, lead_1)
+                1 for x in all_sequences(n) if lead_0 not in str(x) and lead_1 not in str(x)
             )
-            ok = ok and count_no_run_break(n, k2) == brute
+            ok = ok and counts[n] == brute
     _report("C06 counting recurrences equal enumeration (n<=16)", ok)
 
 
@@ -198,7 +197,7 @@ def test_c11_graph_dominance_and_size_ceiling():
         for k1 in (2, 3, 4):
             for k2 in (2, 3, 4):
                 joint = build_graph(ChannelParams(k1, k2), n)
-                for i in range(joint.vertex_count):
+                for i in range(1 << n):
                     marginal = input_only[k1].rows[i] | output_only[k2].rows[i]
                     if marginal & ~joint.rows[i]:
                         edges_ok = False

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -75,9 +76,23 @@ def test_graph_out_file_matches_stdout(capsys, tmp_path):
     status, _, err = run_cli(capsys, *argv, "--out", str(path))
     assert status == 0
     assert err == f"wrote {path}\n"
-    assert path.read_text(encoding="ascii") == out == build_graph(
-        ChannelParams(3, 5), 6
-    ).adjacency_text()
+    assert path.read_text(encoding="ascii") == out == "".join(
+        build_graph(ChannelParams(3, 5), 6).adjacency_lines()
+    )
+
+
+def test_graph_bytes_pinned(capsys):
+    status, out, _ = run_cli(capsys, "graph", "--k1", "3", "--k2", "5", "--n", "10")
+    assert status == 0
+    text = out.encode("ascii")
+    assert len(text) == 433_082
+    assert hashlib.sha256(text).hexdigest() == (
+        "a6d0385b7dedd4e5760373cdeff91b6ebc53cd1909d30117e7484132a5648bfc"
+    )
+    lines = out.splitlines()
+    # four words part from every other word, and the mirrored half is written too
+    assert sum(line.endswith(":") for line in lines) == 4
+    assert len(lines) == 1 << 10
 
 
 @pytest.mark.parametrize(
@@ -454,6 +469,19 @@ def test_rates_csv_with_family_counts(capsys):
         "4,14,0.951838730514,1,10,14\n"
     )
     assert err == ""
+    # the family columns are indexed by n, not by the row's place from --n-min
+    status, out, err = run_cli(
+        capsys, "rates", "--k1", "1", "--k2", "5", "--n-min", "9", "--n-max", "12"
+    )
+    assert status == 0
+    assert out == (
+        "n,size,rate_bits,optimal,family_lower,family_upper\n"
+        "9,354,0.94084506112,1,298,354\n"
+        "10,652,0.934872815423,1,548,652\n"
+        "11,1200,0.929892608227,1,1008,1200\n"
+        "12,2208,0.925710371398,1,1854,2208\n"
+    )
+    assert err == ""
 
 
 def test_rates_timeout_marks_rows_and_refuses(capsys):
@@ -487,3 +515,10 @@ def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
     assert "rates" in [argv[0] for argv in commands]
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_readme_library_surface_imports():
+    section = README.read_text(encoding="utf-8").split("## Library surface", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    missing = [name for name in zecap.__all__ if not hasattr(zecap, name)]
+    assert missing == []

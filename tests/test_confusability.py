@@ -150,8 +150,8 @@ def test_first_symbol_always_separates():
     ],
 )
 def test_build_graph_n2_examples(k1, k2, expected_edges):
-    graph = build_graph(ChannelParams(k1, k2), 2)
-    assert list(graph.edges()) == expected_edges
+    rows = build_graph(ChannelParams(k1, k2), 2).rows
+    assert [(i, j) for i, j in combinations(range(4), 2) if rows[i] >> j & 1] == expected_edges
 
 
 def test_build_graph_cap_and_env_independence(monkeypatch):
@@ -179,7 +179,7 @@ def test_graph_matches_pairwise_dp():
         graph = build_graph(params, 6)
         seqs = list(all_sequences(6))
         for i, j in combinations(range(len(seqs)), 2):
-            assert graph.has_edge(i, j) == confusable_dp(params, seqs[i], seqs[j])
+            assert graph.rows[i] >> j & 1 == confusable_dp(params, seqs[i], seqs[j])
 
 
 @given(
@@ -192,7 +192,7 @@ def test_graph_matches_pairwise_dp_on_sampled_pairs(k1, k2, n, data):
     # n >= k1 + k2 saturates both run caps, where the walk merges b-prefixes
     params = ChannelParams(k1, k2)
     graph = build_graph(params, n)
-    index = st.integers(min_value=0, max_value=graph.vertex_count - 1)
+    index = st.integers(min_value=0, max_value=(1 << n) - 1)
     # uniform pairs are rarely confusable; flipping a few bits finds the border
     flips = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)
     for _ in range(20):
@@ -200,8 +200,8 @@ def test_graph_matches_pairwise_dp_on_sampled_pairs(k1, k2, n, data):
         j = i
         for bit in data.draw(flips):
             j ^= 1 << bit
-        expected = i != j and confusable_dp(params, graph.sequence(i), graph.sequence(j))
-        assert graph.has_edge(i, j) == expected
+        a, b = Bits.from_index(i, n), Bits.from_index(j, n)
+        assert graph.rows[i] >> j & 1 == (i != j and confusable_dp(params, a, b))
 
 
 def assert_rows_match_pairwise_dp(params, n, labels):
@@ -342,10 +342,10 @@ def test_mirrored_graph_matches_the_full_walk():
 
 def test_graph_symmetric_and_irreflexive():
     graph = build_graph(ChannelParams(2, 2), 5)
-    for i in range(graph.vertex_count):
-        assert not graph.has_edge(i, i)
+    for i, row in enumerate(graph.rows):
+        assert not row >> i & 1
         for j in graph.neighbors(i):
-            assert graph.has_edge(j, i)
+            assert graph.rows[j] >> i & 1
 
 
 def test_graph_value_identical_across_runs():
@@ -379,7 +379,7 @@ def test_graph_refuses_a_malformed_half():
     # the top bit of a 0-half row is its last word, the edge 0-3 mirrors to
     # 4-7, and n = 1 has one row
     graph = ConfusabilityGraph(params, 3, (1 << 3, 0, 0, 1))
-    assert list(graph.edges()) == [(0, 3), (4, 7)]
+    assert graph.rows == (1 << 3, 0, 0, 1, 1 << 7, 0, 0, 1 << 4)
     assert graph.edge_count() == 2
     assert ConfusabilityGraph(params, 1, (0,)).rows == (0, 0)
 
@@ -389,7 +389,9 @@ def test_edge_count_matches_the_full_rows(k1, k2, n):
     # the benchmark's search points
     graph = build_graph(ChannelParams(k1, k2), n)
     assert graph.edge_count() == sum(row.bit_count() for row in graph.rows) // 2
-    assert graph.edge_count() == sum(1 for _ in graph.edges())
+    assert graph.edge_count() == sum(
+        j > i for i in range(len(graph.rows)) for j in graph.neighbors(i)
+    )
 
 
 @pytest.mark.parametrize("k1, k2", [(2, 2), (3, 2), (2, 4), (4, 3)])
@@ -398,7 +400,7 @@ def test_graph_dominates_single_memory_marginals(k1, k2):
     joint = build_graph(ChannelParams(k1, k2), n)
     input_only = build_graph(ChannelParams(k1, 1), n)
     output_only = build_graph(ChannelParams(1, k2), n)
-    for i in range(joint.vertex_count):
+    for i in range(1 << n):
         marginal = input_only.rows[i] | output_only.rows[i]
         assert marginal & ~joint.rows[i] == 0
 
@@ -412,6 +414,8 @@ def test_short_run_inputs_have_singleton_outputs(k1, k2):
             assert possible_outputs(params, x) == frozenset({x})
 
 
-def test_adjacency_text_format():
+def test_adjacency_lines_format():
     graph = build_graph(ChannelParams(2, 1), 2)
-    assert graph.adjacency_text() == "0: 1\n1: 0\n2: 3\n3: 2\n"
+    assert list(graph.adjacency_lines()) == ["0: 1\n", "1: 0\n", "2: 3\n", "3: 2\n"]
+    # an isolated vertex is its label and a colon
+    assert list(build_graph(ChannelParams(1, 1), 1).adjacency_lines()) == ["0:\n", "1:\n"]

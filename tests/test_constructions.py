@@ -1,13 +1,9 @@
 import pytest
 
 from zecap import (
-    Bits,
     CapExceededError,
     ChannelParams,
     all_sequences,
-    contains_pattern,
-    count_forbidden_run,
-    count_no_run_break,
     forbidden_run_code,
     forbidden_run_counts,
     growth_ratio,
@@ -69,37 +65,33 @@ def brute_count_forbidden_run(n, run_bound):
 
 
 def brute_count_no_run_break(n, k2):
-    lead_0, lead_1 = Bits("0" * (k2 - 1) + "1"), Bits("1" * (k2 - 1) + "0")
-    return sum(
-        1
-        for x in all_sequences(n)
-        if not contains_pattern(x, lead_0) and not contains_pattern(x, lead_1)
-    )
+    lead_0, lead_1 = "0" * (k2 - 1) + "1", "1" * (k2 - 1) + "0"
+    return sum(1 for x in all_sequences(n) if lead_0 not in str(x) and lead_1 not in str(x))
 
 
 @pytest.mark.parametrize("run_bound", [2, 3, 4, 5, 6])
 def test_count_forbidden_run_matches_enumeration(run_bound):
+    counts = forbidden_run_counts(run_bound, 12).counts
     for n in range(0, 13):
-        assert count_forbidden_run(n, run_bound) == brute_count_forbidden_run(n, run_bound)
+        assert counts[n] == brute_count_forbidden_run(n, run_bound)
 
 
 def test_count_forbidden_run_examples():
-    assert count_forbidden_run(3, 3) == 6
-    assert count_forbidden_run(5, 3) == 16
+    counts = forbidden_run_counts(3, 5).counts
+    assert (counts[3], counts[5]) == (6, 16)
     for run_bound in (2, 3, 5):
-        assert count_forbidden_run(1, run_bound) == 2
+        assert forbidden_run_counts(run_bound, 1).counts[1] == 2
 
 
 @pytest.mark.parametrize("k2", [4, 5, 6])
 def test_count_no_run_break_matches_enumeration(k2):
+    counts = no_run_break_counts(k2, 12).counts
     for n in range(0, 13):
-        assert count_no_run_break(n, k2) == brute_count_no_run_break(n, k2)
+        assert counts[n] == brute_count_no_run_break(n, k2)
 
 
 def test_count_no_run_break_examples():
-    assert count_no_run_break(3, 4) == 8
-    assert count_no_run_break(4, 4) == 14
-    assert count_no_run_break(5, 4) == 24
+    assert no_run_break_counts(4, 5).counts[3:] == (8, 14, 24)
 
 
 @pytest.mark.parametrize("run_bound", [2, 3, 4])
@@ -110,8 +102,9 @@ def test_counts_nondecreasing(run_bound):
 
 @pytest.mark.parametrize("run_bound", [2, 3, 4, 5])
 def test_forbidden_run_within_no_run_break(run_bound):
-    for n in range(0, 20):
-        assert count_forbidden_run(n, run_bound) <= count_no_run_break(n, run_bound + 1)
+    lower = forbidden_run_counts(run_bound, 19).counts
+    upper = no_run_break_counts(run_bound + 1, 19).counts
+    assert all(low <= high for low, high in zip(lower, upper, strict=True))
 
 
 @pytest.mark.parametrize("k1, k2", [(4, 4), (4, 5), (5, 4), (6, 6)])
@@ -125,14 +118,9 @@ def test_tail_family_decomposition():
     # splitting the no-run-break family by trailing-run length:
     #   size(n, run=1) = total over runs 1..k2-2 at n-1;  size(n, run=i+1) = size(n-1, run=i)
     k2 = 4
-    lead_0, lead_1 = Bits("0001"), Bits("1110")
 
     def family(n):
-        return [
-            x
-            for x in all_sequences(n)
-            if not contains_pattern(x, lead_0) and not contains_pattern(x, lead_1)
-        ]
+        return [x for x in all_sequences(n) if "0001" not in str(x) and "1110" not in str(x)]
 
     def tail_run(x):
         run = 1
