@@ -29,7 +29,6 @@ from .confusability import (
     possible_outputs,
 )
 from .constructions import (
-    CountTable,
     forbidden_run_code,
     forbidden_run_counts,
     growth_ratio,
@@ -49,7 +48,6 @@ __all__ = [
     "ChannelParams",
     "Code",
     "ConfusabilityGraph",
-    "CountTable",
     "DecodeResult",
     "PreconditionError",
     "SearchResult",

@@ -58,35 +58,32 @@ def omega_root(k2: int) -> float:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Exact capacity or a (lower, upper) bound pair, in bits per channel use."""
+    """Exact capacity (value set) or a (lower, upper) bound pair, in bits per channel use."""
 
-    kind: str  # "exact" | "bounds"
     provenance: str
     value: float | None = None
     lower: float | None = None
     upper: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "exact":
-            if self.value is None or not 0.0 <= self.value <= 1.0:
+        if self.value is not None:
+            if not 0.0 <= self.value <= 1.0:
                 raise ValueError("exact capacity must lie in [0, 1]")
-        elif self.kind == "bounds":
-            if (
-                self.lower is None
-                or self.upper is None
-                or not 0.0 <= self.lower <= self.upper <= 1.0
-            ):
-                raise ValueError("bounds must satisfy 0 <= lower <= upper <= 1")
-        else:
-            raise ValueError(f"unknown result kind {self.kind!r}")
+        elif None in (self.lower, self.upper) or not 0.0 <= self.lower <= self.upper <= 1.0:
+            raise ValueError("bounds must satisfy 0 <= lower <= upper <= 1")
+
+    @property
+    def kind(self) -> str:
+        """'exact' when value is set, else 'bounds'."""
+        return "bounds" if self.value is None else "exact"
 
 
 def _exact(value: float, provenance: str) -> CapacityResult:
-    return CapacityResult(kind="exact", provenance=provenance, value=value)
+    return CapacityResult(provenance=provenance, value=value)
 
 
 def _bounds(lower: float, upper: float, provenance: str) -> CapacityResult:
-    return CapacityResult(kind="bounds", provenance=provenance, lower=lower, upper=upper)
+    return CapacityResult(provenance=provenance, lower=lower, upper=upper)
 
 
 def capacity(k1: int, k2: int) -> CapacityResult:

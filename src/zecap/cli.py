@@ -12,7 +12,7 @@ import json
 import sys
 from math import log2
 
-from .capacity import CapacityResult, bounds_table, capacity, lambda_root, omega_root
+from .capacity import bounds_table, capacity, lambda_root, omega_root
 from .channel import ChannelParams
 from .codesearch import (
     DEFAULT_TIME_LIMIT,
@@ -50,19 +50,15 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _capacity_payload(result: CapacityResult) -> dict:
+def _cmd_capacity(args: argparse.Namespace) -> int:
+    result = capacity(args.k1, args.k2)
     payload: dict = {"kind": result.kind, "provenance": result.provenance}
     if result.kind == "exact":
         payload["value"] = _sig12(result.value)
     else:
         payload["lower"] = _sig12(result.lower)
         payload["upper"] = _sig12(result.upper)
-    return payload
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    result = capacity(args.k1, args.k2)
-    _emit_json(_capacity_payload(result))
+    _emit_json(payload)
     return EXIT_OK
 
 
@@ -70,20 +66,11 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     if args.k1 is None and args.k2 is None:
         raise ValueError("pass --k1 and/or --k2")
     payload: dict = {}
-    if args.k1 is not None:
-        root = lambda_root(args.k1)
-        payload["lambda"] = {
-            "k1": args.k1,
-            "root": _sig12(root),
-            "log2": _sig12(log2(root)),
-        }
-    if args.k2 is not None:
-        root = omega_root(args.k2)
-        payload["omega"] = {
-            "k2": args.k2,
-            "root": _sig12(root),
-            "log2": _sig12(log2(root)),
-        }
+    for name, flag, solve in (("lambda", "k1", lambda_root), ("omega", "k2", omega_root)):
+        k = getattr(args, flag)
+        if k is not None:
+            root = solve(k)
+            payload[name] = {flag: k, "root": _sig12(root), "log2": _sig12(log2(root))}
     _emit_json(payload)
     return EXIT_OK
 
@@ -130,8 +117,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         raise CapExceededError(f"graph over 2^{args.n_max} vertices exceeds cap {GRAPH_CAP}")
     with_families = args.k1 == 1 and args.k2 >= 4
     if with_families:
-        lower = forbidden_run_counts(args.k2 - 1, args.n_max).counts
-        upper = no_run_break_counts(args.k2, args.n_max).counts
+        lower = forbidden_run_counts(args.k2 - 1, args.n_max)
+        upper = no_run_break_counts(args.k2, args.n_max)
     print("n,size,rate_bits,optimal" + (",family_lower,family_upper" if with_families else ""))
     status = EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
@@ -175,15 +162,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.family == "forbidden-run":
         if args.run_bound is None:
             raise ValueError("forbidden-run needs --L")
-        table = forbidden_run_counts(args.run_bound, args.n_max)
+        counts = forbidden_run_counts(args.run_bound, args.n_max)
     else:
         if args.k2 is None:
             raise ValueError("no-run-break needs --k2")
-        table = no_run_break_counts(args.k2, args.n_max)
+        counts = no_run_break_counts(args.k2, args.n_max)
     print("n,count,rate_bits")
     for n in range(1, args.n_max + 1):
-        count = table.counts[n]
-        print(f"{n},{count},{rate(n, count):.12g}")
+        print(f"{n},{counts[n]},{rate(n, counts[n]):.12g}")
     return EXIT_OK
 
 
@@ -214,6 +200,13 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _channel_flags(p: argparse.ArgumentParser, *, required: bool) -> None:
+    """--k1 and --k2: the channel, or optional overrides of a code file's header."""
+    note = None if required else "override the file header"
+    for flag in ("--k1", "--k2"):
+        p.add_argument(flag, type=int, required=required, help=note)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zecap",
@@ -222,8 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="capacity value or bounds for a channel")
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
+    _channel_flags(p, required=True)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("roots", help="characteristic roots and their log2 values")
@@ -232,15 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("graph", help="emit the confusability graph adjacency list")
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
+    _channel_flags(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("search", help="exact optimal zero-error code at length n")
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
+    _channel_flags(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--witness-file", help="write the witness code here")
@@ -251,8 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CSV n,size,rate_bits,optimal of exact optima per block length, "
         "with the bracketing family counts where they apply (k1 = 1, k2 >= 4)",
     )
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
+    _channel_flags(p, required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
@@ -262,8 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["pairwise", "forbidden-run"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", dest="run_bound", type=int, help="run bound (forbidden-run)")
-    p.add_argument("--k1", type=int, help="override header channel parameter")
-    p.add_argument("--k2", type=int, help="override header channel parameter")
+    _channel_flags(p, required=False)
     p.add_argument("--out", help="output path (default derived from arguments)")
     p.set_defaults(func=_cmd_construct)
 
@@ -276,14 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a code file for zero-error validity")
     p.add_argument("--code", required=True)
-    p.add_argument("--k1", type=int, help="override the file header")
-    p.add_argument("--k2", type=int, help="override the file header")
+    _channel_flags(p, required=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="seeded trial batch through the channel")
     p.add_argument("--code", required=True)
-    p.add_argument("--k1", type=int, help="override the file header")
-    p.add_argument("--k2", type=int, help="override the file header")
+    _channel_flags(p, required=False)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true", help="simulate an unverified code")

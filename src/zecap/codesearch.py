@@ -1,28 +1,24 @@
 """Zero-error code verification, exact optimal-code search, and code files.
 
 An optimal code is a maximum independent set of the confusability graph.
-The search is branch and reduce on the big-int confusability rows. Its two
-reduction rules preserve the exact optimum: a vertex with no neighbour left
-is always taken, and when N[u] is a subset of N[v] the vertex v is dropped,
-since any code using v can swap v for u (the graph form of the
-codeword-replacement rule). The vertices u dominates are the intersection
-of N[w] over w in N[u], so the rule ANDs those closed rows, stops once only
-u is left, and drops the rest at once. One reduction of the whole graph
-leaves a kernel; it sweeps the vertices by ascending degree, since a
-low-degree u dominates the most and removing its neighbours early shrinks
-every later step. Each connected component of the kernel is then solved on
-its own, reducing again, in label order, at every search node, and
-branching on the candidate with the most neighbours among the candidates
-(ties to the lowest label), whose inclusion removes the most candidates.
-One deadline covers every phase.
-
-The confusability graph is two disjoint halves: no output can differ
-from the input at t = 1, so a word that starts with 0 is never confusable
-with one that starts with 1, and the complement i -> 2^n-1-i maps each
-half onto the other. The search runs on the 0-half alone, and its best set
-plus that set's mirror is the optimum of the whole graph. search(params, n)
-reads only the 0-half rows, from `half_rows`; optimal_code reads the 0-half
-that every ConfusabilityGraph, built by hand or not, is given by.
+The search is branch and reduce on the big-int rows of the words that
+start with 0, the 0-half (see `confusability` for why that half decides
+the whole graph); its best set plus that set's mirror is the optimum.
+Its two reduction rules preserve the exact optimum: a vertex with no
+neighbour left is always taken, and when N[u] is a subset of N[v] the
+vertex v is dropped, since any code using v can swap v for u (the graph
+form of the codeword-replacement rule). The vertices u dominates are the
+intersection of N[w] over w in N[u], so the rule ANDs those closed rows,
+stops once only u is left, and drops the rest at once. One reduction of
+the 0-half leaves a kernel; it sweeps the vertices by ascending degree,
+since a low-degree u dominates the most and removing its neighbours early
+shrinks every later step. Each connected component of the kernel is then
+solved on its own, reducing again, in label order, at every search node,
+and branching on the candidate with the most neighbours among the
+candidates (ties to the lowest label), whose inclusion removes the most
+candidates. One deadline covers every phase. search(params, n) reads the
+0-half rows from `half_rows`; optimal_code reads the 0-half that every
+ConfusabilityGraph, built by hand or not, is given by.
 
 verify_code reads confusable_rows over the code's own words, as sorted
 strings whose lengths it checks first, and stops at the first conflict.
@@ -86,9 +82,12 @@ class Code:
 class SearchResult:
     """Outcome of an optimal-code search; optimal=False marks a timeout."""
 
-    size: int
     witness: Code
     optimal: bool
+
+    @property
+    def size(self) -> int:
+        return len(self.witness)
 
 
 def verify_code(params: ChannelParams, code: Code) -> bool:
@@ -96,8 +95,8 @@ def verify_code(params: ChannelParams, code: Code) -> bool:
 
     When the words, as a multiset, are closed under bit complement, only
     the rows of the words that start with 0 are read: a confusable pair
-    (a, b) with a starting with 1 has the confusable mirror (a', b') within
-    the code, and a' starts with 0.
+    of words that start with 1 has its mirror in the code, and that pair,
+    confusable too (see `confusability`), starts with 0.
     """
     words = sorted(map(str, code.words))
     if any(len(w) != code.n for w in words):
@@ -263,7 +262,7 @@ def _deadline(time_limit: float) -> float:
 def _result(n: int, mask: int, completed: bool) -> SearchResult:
     """The words of mask's labels, ascending as Code stores them; vertex 0 if it is empty."""
     words = tuple(Bits.from_index(low.bit_length() - 1, n) for low in _bits(mask or 1))
-    return SearchResult(size=len(words), witness=Code(n=n, words=words), optimal=completed)
+    return SearchResult(witness=Code(n=n, words=words), optimal=completed)
 
 
 def _mirrored_search(n: int, half: tuple[int, ...], deadline: float) -> SearchResult:

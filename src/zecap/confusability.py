@@ -134,7 +134,8 @@ class ConfusabilityGraph:
     Vertex i is the i-th sequence in lexicographic order; adjacency is one
     bit vector per vertex. The graph is given by its 0-half, the rows of the
     2^(n-1) words that start with 0, none reaching a word that starts with
-    1; row N-1-i is `mirror(rows[i], n)`. Value-identical across runs.
+    1; row N-1-i is `mirror(rows[i], n)` (the module docstring says why).
+    Value-identical across runs.
     """
 
     params: ChannelParams

@@ -6,20 +6,11 @@ near n = 80. Rates are always derived from exact counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .codesearch import Code
 from .errors import CapExceededError
 from .sequences import ENUMERATION_CAP, Bits, run_steps
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """counts[n] = family size at block length n, for one family parameter."""
-
-    parameter: int
-    counts: tuple[int, ...]
 
 
 def pairwise_block_code(n: int) -> Code:
@@ -63,8 +54,8 @@ def forbidden_run_code(n: int, run_bound: int) -> Code:
     return Code(n=n, words=tuple(Bits(word) for word, _ in level))
 
 
-def forbidden_run_counts(run_bound: int, n_max: int) -> CountTable:
-    """Sizes of the runs-shorter-than-run_bound family for n = 0..n_max.
+def forbidden_run_counts(run_bound: int, n_max: int) -> tuple[int, ...]:
+    """Sizes of the runs-shorter-than-run_bound family, indexed by n = 0..n_max.
 
     For n < run_bound every sequence qualifies (2^n); from n = run_bound on,
     counts[n] = sum of the previous run_bound - 1 counts (classify by the
@@ -77,11 +68,11 @@ def forbidden_run_counts(run_bound: int, n_max: int) -> CountTable:
     counts = [1 << n for n in range(min(run_bound, n_max + 1))]
     for n in range(run_bound, n_max + 1):
         counts.append(sum(counts[n - i] for i in range(1, run_bound)))
-    return CountTable(parameter=run_bound, counts=tuple(counts))
+    return tuple(counts)
 
 
-def no_run_break_counts(k2: int, n_max: int) -> CountTable:
-    """Sizes of the family avoiding 0^(k2-1)1 and 1^(k2-1)0, for n = 0..n_max.
+def no_run_break_counts(k2: int, n_max: int) -> tuple[int, ...]:
+    """Sizes of the family avoiding 0^(k2-1)1 and 1^(k2-1)0, indexed by n = 0..n_max.
 
     These are the words that never break a run of span k2, so the DP counts
     paths through the channel's run-state table `run_steps(k2)` that take no
@@ -102,7 +93,7 @@ def no_run_break_counts(k2: int, n_max: int) -> CountTable:
                     nxt[after] += count
         ways = nxt
         counts.append(sum(ways))
-    return CountTable(parameter=k2, counts=tuple(counts))
+    return tuple(counts)
 
 
 def growth_ratio(run_bound: int, n: int) -> float:
@@ -113,5 +104,5 @@ def growth_ratio(run_bound: int, n: int) -> float:
     """
     if n < 2 * run_bound:
         raise ValueError("n must be at least twice the run bound")
-    counts = forbidden_run_counts(run_bound, n + 1).counts
+    counts = forbidden_run_counts(run_bound, n + 1)
     return counts[n + 1] / counts[n]

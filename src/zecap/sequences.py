@@ -71,9 +71,6 @@ class Bits:
     def __lt__(self, other: "Bits") -> bool:
         return self._s < other._s
 
-    def __le__(self, other: "Bits") -> bool:
-        return self._s <= other._s
-
     def __hash__(self) -> int:
         return hash(self._s)
 

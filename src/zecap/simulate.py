@@ -1,14 +1,14 @@
 """Seeded channel sampling and the exhaustive zero-error decoder.
 
-Trials replay bit-exactly: the generator identity is recorded in every
-report and per-trial randomness is derived as seed + trial index. Seeds
-are nonnegative, since random.Random(-s) replays the stream of Random(s).
+Trials replay bit-exactly: every report's JSON names the generator, and
+per-trial randomness is derived as seed + trial index. Seeds are
+nonnegative, since random.Random(-s) replays the stream of Random(s).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import ChannelParams, channel_steps
 from .codesearch import Code, verify_code
@@ -69,15 +69,14 @@ class TrialReport:
     trials: int
     failures: int
     seed: int
-    generator: str = GENERATOR
-    ambiguity_examples: tuple[tuple[Bits, Bits], ...] = field(default=())
+    ambiguity_examples: tuple[tuple[Bits, Bits], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,
             "failures": self.failures,
             "seed": self.seed,
-            "generator": self.generator,
+            "generator": GENERATOR,
             "examples": [
                 {"sent": str(sent), "received": str(received)}
                 for sent, received in self.ambiguity_examples

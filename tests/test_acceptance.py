@@ -79,8 +79,8 @@ def test_c04_output_memory_4_sandwich():
     params = ChannelParams(1, 4)
     ok = True
     triples = []
-    lows = forbidden_run_counts(3, 10).counts
-    highs = no_run_break_counts(4, 10).counts
+    lows = forbidden_run_counts(3, 10)
+    highs = no_run_break_counts(4, 10)
     for n in range(4, 11):
         result = optimal_code(build_graph(params, n), time_limit=240.0)
         low, high = lows[n], highs[n]
@@ -111,12 +111,12 @@ def test_c05_root_values_identity_residuals():
 def test_c06_recurrences_match_enumeration():
     ok = True
     for run_bound in range(2, 7):
-        counts = forbidden_run_counts(run_bound, 16).counts
+        counts = forbidden_run_counts(run_bound, 16)
         for n in range(0, 17):
             brute = sum(1 for x in all_sequences(n) if not contains_run(x, run_bound))
             ok = ok and counts[n] == brute
     for k2 in (4, 5, 6):
-        counts = no_run_break_counts(k2, 16).counts
+        counts = no_run_break_counts(k2, 16)
         lead_0 = "0" * (k2 - 1) + "1"
         lead_1 = "1" * (k2 - 1) + "0"
         for n in range(0, 17):

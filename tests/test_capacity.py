@@ -91,9 +91,9 @@ def test_capacity_validation():
     with pytest.raises(ValueError):
         capacity(0, 1)
     with pytest.raises(ValueError):
-        CapacityResult(kind="exact", provenance="x", value=1.5)
+        CapacityResult(provenance="x", value=1.5)
     with pytest.raises(ValueError):
-        CapacityResult(kind="bounds", provenance="x", lower=0.7, upper=0.2)
+        CapacityResult(provenance="x", lower=0.7, upper=0.2)
 
 
 def test_capacity_below_single_memory_marginals():

@@ -56,6 +56,33 @@ def test_roots_json(capsys):
     assert payload["omega"]["root"] == pytest.approx(1.618033988749895, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        (
+            "capacity --k1 2 --k2 1",
+            '{"schema_version": 1, "kind": "exact", "provenance": "input memory only, span 2: '
+            'paired-symbol blocks", "value": 0.5}',
+        ),
+        (
+            "capacity --k1 4 --k2 9",
+            '{"schema_version": 1, "kind": "bounds", "provenance": "joint memory, 3 <= k1 < k2: '
+            'open; run-limited lower, input-window upper", "lower": 0.694241913631, '
+            '"upper": 0.879146421607}',
+        ),
+        (
+            "roots --k1 4 --k2 5",
+            '{"schema_version": 1, "lambda": {"k1": 4, "root": 1.83928675521, '
+            '"log2": 0.879146421607}, "omega": {"k2": 5, "root": 1.83928675521, '
+            '"log2": 0.879146421607}}',
+        ),
+    ],
+)
+def test_json_stdout_bytes_pinned(capsys, command, line):
+    # json.loads would pass any key order; the printed bytes pin it
+    assert run_cli(capsys, *command.split()) == (0, line + "\n", "")
+
+
 def test_roots_requires_a_parameter(capsys):
     status, _, err = run_cli(capsys, "roots")
     assert status == 2
@@ -309,6 +336,25 @@ def test_simulate_refuses_unverified_without_force(capsys, tmp_path):
     )
     assert status == 0
     assert json.loads(out)["failures"] > 0
+
+
+def test_simulate_stdout_bytes_pinned(capsys, tmp_path):
+    path = str(tmp_path / "fr.code")
+    run_cli(capsys, "construct", "forbidden-run", "--n", "8", "--L", "3", "--out", path)
+    argv = ["simulate", "--code", path, "--seed", "1"]
+    assert run_cli(capsys, *argv, "--trials", "200") == (
+        0,
+        '{"schema_version": 1, "trials": 200, "failures": 0, "seed": 1, '
+        '"generator": "python-random-mt19937/getrandbits", "examples": []}\n',
+        "",
+    )
+    status, out, _ = run_cli(capsys, *argv, "--k1", "2", "--k2", "1", "--trials", "20", "--force")
+    assert status == 0
+    assert out.startswith(
+        '{"schema_version": 1, "trials": 20, "failures": 20, "seed": 1, '
+        '"generator": "python-random-mt19937/getrandbits", '
+        '"examples": [{"sent": "01001101", "received": "01101110"}'
+    )
 
 
 def test_bounds_table_csv(capsys):

@@ -71,39 +71,39 @@ def brute_count_no_run_break(n, k2):
 
 @pytest.mark.parametrize("run_bound", [2, 3, 4, 5, 6])
 def test_count_forbidden_run_matches_enumeration(run_bound):
-    counts = forbidden_run_counts(run_bound, 12).counts
+    counts = forbidden_run_counts(run_bound, 12)
     for n in range(0, 13):
         assert counts[n] == brute_count_forbidden_run(n, run_bound)
 
 
 def test_count_forbidden_run_examples():
-    counts = forbidden_run_counts(3, 5).counts
+    counts = forbidden_run_counts(3, 5)
     assert (counts[3], counts[5]) == (6, 16)
     for run_bound in (2, 3, 5):
-        assert forbidden_run_counts(run_bound, 1).counts[1] == 2
+        assert forbidden_run_counts(run_bound, 1)[1] == 2
 
 
 @pytest.mark.parametrize("k2", [4, 5, 6])
 def test_count_no_run_break_matches_enumeration(k2):
-    counts = no_run_break_counts(k2, 12).counts
+    counts = no_run_break_counts(k2, 12)
     for n in range(0, 13):
         assert counts[n] == brute_count_no_run_break(n, k2)
 
 
 def test_count_no_run_break_examples():
-    assert no_run_break_counts(4, 5).counts[3:] == (8, 14, 24)
+    assert no_run_break_counts(4, 5)[3:] == (8, 14, 24)
 
 
 @pytest.mark.parametrize("run_bound", [2, 3, 4])
 def test_counts_nondecreasing(run_bound):
-    counts = forbidden_run_counts(run_bound, 40).counts
+    counts = forbidden_run_counts(run_bound, 40)
     assert all(counts[n] <= counts[n + 1] for n in range(1, 40))
 
 
 @pytest.mark.parametrize("run_bound", [2, 3, 4, 5])
 def test_forbidden_run_within_no_run_break(run_bound):
-    lower = forbidden_run_counts(run_bound, 19).counts
-    upper = no_run_break_counts(run_bound + 1, 19).counts
+    lower = forbidden_run_counts(run_bound, 19)
+    upper = no_run_break_counts(run_bound + 1, 19)
     assert all(low <= high for low, high in zip(lower, upper, strict=True))
 
 

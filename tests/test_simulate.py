@@ -184,3 +184,20 @@ def test_report_json_shape():
     assert payload["seed"] == 3
     assert "generator" in payload
     assert payload["examples"] == []
+
+
+def test_trials_call_the_traced_patch_points(monkeypatch):
+    # perfbench's traced layers patch these two names and skip a missing one
+    # silently, so a rename or an inlined call would trace zero calls
+    import zecap.simulate as simulate
+
+    calls = {"_sample": 0, "decode": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _inner=getattr(simulate, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counted)
+    zero_error_trial(ChannelParams(2, 1), pairwise_block_code(4), 5, seed=0, force=True)
+    assert calls == {"_sample": 5, "decode": 5}
