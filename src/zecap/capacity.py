@@ -78,14 +78,6 @@ class CapacityResult:
         return "bounds" if self.value is None else "exact"
 
 
-def _exact(value: float, provenance: str) -> CapacityResult:
-    return CapacityResult(provenance=provenance, value=value)
-
-
-def _bounds(lower: float, upper: float, provenance: str) -> CapacityResult:
-    return CapacityResult(provenance=provenance, lower=lower, upper=upper)
-
-
 def capacity(k1: int, k2: int) -> CapacityResult:
     """Zero-error capacity of the (k1, k2) channel, exact where known.
 
@@ -95,31 +87,33 @@ def capacity(k1: int, k2: int) -> CapacityResult:
     if k1 < 1 or k2 < 1:
         raise ValueError("memory spans k1, k2 must be >= 1")
     if k1 == 1 and k2 == 1:
-        return _exact(1.0, "no memory window: the channel is noiseless")
+        return CapacityResult("no memory window: the channel is noiseless", 1.0)
     if k2 == 1:
         if k1 == 2:
-            return _exact(0.5, "input memory only, span 2: paired-symbol blocks")
-        return _exact(
-            log2(lambda_root(k1)), "input memory only: characteristic-root rate"
+            return CapacityResult("input memory only, span 2: paired-symbol blocks", 0.5)
+        return CapacityResult(
+            "input memory only: characteristic-root rate", log2(lambda_root(k1))
         )
     if k1 == 1:
         if k2 == 2:
-            return _exact(0.0, "output memory only, span 2: first symbol decides")
-        return _exact(
-            log2(omega_root(k2)), "output memory only: characteristic-root rate"
+            return CapacityResult("output memory only, span 2: first symbol decides", 0.0)
+        return CapacityResult(
+            "output memory only: characteristic-root rate", log2(omega_root(k2))
         )
     if k2 <= 3:
-        return _exact(0.0, "joint memory, output span <= 3: zero rate")
+        return CapacityResult("joint memory, output span <= 3: zero rate", 0.0)
     if k1 >= k2:
-        return _exact(
-            log2(omega_root(k2)), "joint memory, k1 >= k2: run-limited words are noise-free"
+        return CapacityResult(
+            "joint memory, k1 >= k2: run-limited words are noise-free", log2(omega_root(k2))
         )
     if k1 == 2:
-        return _bounds(0.0, 0.5, "joint memory, k1 = 2 < k2: open; input-window upper bound")
-    return _bounds(
-        log2(omega_root(k1)),
-        log2(lambda_root(k1)),
+        return CapacityResult(
+            "joint memory, k1 = 2 < k2: open; input-window upper bound", lower=0.0, upper=0.5
+        )
+    return CapacityResult(
         "joint memory, 3 <= k1 < k2: open; run-limited lower, input-window upper",
+        lower=log2(omega_root(k1)),
+        upper=log2(lambda_root(k1)),
     )
 
 

@@ -98,7 +98,7 @@ def verify_code(params: ChannelParams, code: Code) -> bool:
     of words that start with 1 has its mirror in the code, and that pair,
     confusable too (see `confusability`), starts with 0.
     """
-    words = sorted(map(str, code.words))
+    words = sorted(code.words)
     if any(len(w) != code.n for w in words):
         raise ValueError("code words must all have length n")
     rows = confusable_rows(params, code.n, words)
@@ -142,7 +142,7 @@ def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) ->
                 y_next = y + "01"[y_t]
                 if (old := table[at_old][2 * s_old + y_t]) is None:
                     raise PreconditionError(
-                        f"output {y_next}{str(x_new)[t:]} of {x_new} "
+                        f"output {y_next}{x_new[t:]} of {x_new} "
                         f"is not a possible output of {x}"
                     )
                 nxt.setdefault((new, old), y_next)

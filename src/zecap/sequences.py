@@ -1,10 +1,10 @@
-"""Binary sequence primitives: 1-based indexing, run and substring tests,
-enumeration, and the run-state step table that `channel.channel_steps` is
-built from."""
+"""Binary sequence primitives: the checked `Bits` string with 1-based `at`
+and `prefix`, run tests, enumeration, and the run-state step table that
+`channel.channel_steps` is built from."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cache
 from itertools import groupby
 
@@ -13,26 +13,21 @@ from .errors import CapExceededError
 ENUMERATION_CAP = 24
 
 
-class Bits:
-    """An immutable binary sequence, indexed 1..n.
+class Bits(str):
+    """A binary sequence: a str of '0'/'1' symbols, checked at construction.
 
-    Renders as the string of '0'/'1' characters with position 1 first;
-    ordering and hashing follow that string, so lexicographic sequence
-    order coincides with the order of `to_index` values.
+    `at` and `prefix` count positions from 1, iteration yields the symbols
+    as ints, and `[i]` and slices are the string's. Ordering and hashing
+    are the string's, so lexicographic sequence order coincides with the
+    order of `to_index` values.
     """
 
-    __slots__ = ("_s",)
+    __slots__ = ()
 
-    def __init__(self, value: str | Iterable[int] | "Bits" = ""):
-        if isinstance(value, Bits):
-            s = value._s
-        elif isinstance(value, str):
-            s = value
-        else:
-            s = "".join(str(b) for b in value)
-        if s.strip("01"):
-            raise ValueError(f"symbols must be 0 or 1, got {s!r}")
-        self._s = s
+    def __new__(cls, value: str) -> "Bits":
+        if value.strip("01"):
+            raise ValueError(f"symbols must be 0 or 1, got {value!r}")
+        return str.__new__(cls, value)
 
     @classmethod
     def from_index(cls, index: int, n: int) -> "Bits":
@@ -45,50 +40,35 @@ class Bits:
 
     def to_index(self) -> int:
         """Lexicographic rank among sequences of the same length."""
-        return int(self._s, 2) if self._s else 0
+        return int(self, 2) if self else 0
 
     def at(self, t: int) -> int:
         """Symbol at 1-based position t."""
-        if not 1 <= t <= len(self._s):
-            raise ValueError(f"position {t} out of range 1..{len(self._s)}")
-        return ord(self._s[t - 1]) - 48
+        if not 1 <= t <= len(self):
+            raise ValueError(f"position {t} out of range 1..{len(self)}")
+        return ord(self[t - 1]) - 48
 
     def prefix(self, t: int) -> "Bits":
         """The first t symbols (t may be 0)."""
-        if not 0 <= t <= len(self._s):
+        if not 0 <= t <= len(self):
             raise ValueError(f"prefix length {t} out of range")
-        return Bits(self._s[:t])
-
-    def __len__(self) -> int:
-        return len(self._s)
+        return Bits(self[:t])
 
     def __iter__(self) -> Iterator[int]:
-        return (ord(c) - 48 for c in self._s)
+        return (ord(c) - 48 for c in str.__iter__(self))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bits) and self._s == other._s
-
-    def __lt__(self, other: "Bits") -> bool:
-        return self._s < other._s
-
-    def __hash__(self) -> int:
-        return hash(self._s)
-
-    def __add__(self, other: "Bits") -> "Bits":
-        return Bits(self._s + other._s)
-
-    def __str__(self) -> str:
-        return self._s
+    def __add__(self, other: str) -> "Bits":
+        return Bits(str.__add__(self, other))
 
     def __repr__(self) -> str:
-        return f"Bits({self._s!r})"
+        return f"Bits({str.__repr__(self)})"
 
 
 def contains_run(x: Bits, run_length: int) -> bool:
     """True iff x contains run_length consecutive equal symbols."""
     if run_length < 1:
         raise ValueError("run length must be >= 1")
-    return any(sum(1 for _ in group) >= run_length for _, group in groupby(str(x)))
+    return any(sum(1 for _ in group) >= run_length for _, group in groupby(x))
 
 
 def all_sequences(n: int) -> Iterator[Bits]:

@@ -78,7 +78,7 @@ class TrialReport:
             "seed": self.seed,
             "generator": GENERATOR,
             "examples": [
-                {"sent": str(sent), "received": str(received)}
+                {"sent": sent, "received": received}
                 for sent, received in self.ambiguity_examples
             ],
         }

@@ -126,3 +126,15 @@ def test_bounds_table_validation():
         bounds_table(2, 5)
     with pytest.raises(ValueError):
         bounds_table(5, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: multinacci_value(0, 1), id="multinacci_value(0,1)"),
+        pytest.param(lambda: multinacci_root(0), id="multinacci_root(0)"),
+    ],
+)
+def test_multinacci_refuses_order_below_one(call):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        call()

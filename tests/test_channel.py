@@ -141,3 +141,33 @@ def test_first_output_always_equals_the_first_input():
             for x in (0, 1):
                 assert start[x + 1] is None, (k1, k2, x)
                 assert start[3 * x] is not None, (k1, k2, x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda params: condition_b(params, 2, Bits(""), 1),
+            "input symbol must be 0 or 1",
+            id="condition_b-x_t=2",
+        ),
+        pytest.param(
+            lambda params: step_outputs(params, Bits(""), Bits("")),
+            "input prefix must be nonempty",
+            id="step_outputs-empty-input",
+        ),
+        pytest.param(
+            lambda params: step_outputs(params, Bits("01"), Bits("")),
+            "output prefix must have length 1, got 0",
+            id="step_outputs-short-output",
+        ),
+        pytest.param(
+            lambda params: transition_prob(params, Bits("0"), Bits(""), 2),
+            "output symbol must be 0 or 1",
+            id="transition_prob-y_t=2",
+        ),
+    ],
+)
+def test_channel_spec_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ChannelParams(2, 2))

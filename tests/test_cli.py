@@ -265,6 +265,23 @@ def test_count_no_run_break_csv(capsys):
     assert [int(r[1]) for r in rows] == [2, 4, 8, 14, 24]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("construct", "forbidden-run", "--n", "4"), "forbidden-run needs --L"),
+        (("count", "forbidden-run", "--n-max", "5"), "forbidden-run needs --L"),
+        (("count", "no-run-break", "--n-max", "5"), "no-run-break needs --k2"),
+    ],
+)
+def test_family_without_its_parameter_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # construct would write its default file name here
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_valid_code(capsys, tmp_path):
     path = tmp_path / "code.txt"
     write_code_file(path, ChannelParams(2, 1), pairwise_block_code(4))
@@ -287,6 +304,15 @@ def test_verify_counts_a_listed_repeat(capsys, tmp_path):
     status, out, _ = run_cli(capsys, "verify", "--code", str(path))
     assert status == 3
     assert json.loads(out) == {"schema_version": 1, "valid": False, "size": 3, "n": 4}
+
+
+def test_verify_refuses_a_non_binary_symbol(capsys, tmp_path):
+    path = tmp_path / "nonbinary.txt"
+    path.write_text("# zecap code n=4 k1=2 k2=1\n0000\n0120\n")
+    status, out, err = run_cli(capsys, "verify", "--code", str(path))
+    assert status == 2
+    assert out == ""
+    assert err == "error: symbols must be 0 or 1, got '0120'\n"
 
 
 def test_verify_search_witness(capsys, tmp_path):

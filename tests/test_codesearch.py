@@ -725,3 +725,26 @@ def test_code_file_rejects_a_word_of_the_wrong_length(tmp_path):
     path.write_text("# zecap code n=4 k1=2 k2=1\n0000\n011\n")
     with pytest.raises(ValueError, match="length 4"):
         read_code_file(path)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: Code.from_words([]),
+            "empty code needs an explicit block length",
+            id="from_words-empty",
+        ),
+        pytest.param(lambda: rate(0, 1), "block length must be >= 1", id="rate(0,1)"),
+        pytest.param(
+            lambda: replace_codeword(
+                ChannelParams(2, 1), make_code("01", "11"), Bits("01"), Bits("000")
+            ),
+            "replacement word has the wrong length",
+            id="replace_codeword-wrong-length",
+        ),
+    ],
+)
+def test_code_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -419,3 +419,9 @@ def test_adjacency_lines_format():
     assert list(graph.adjacency_lines()) == ["0: 1\n", "1: 0\n", "2: 3\n", "3: 2\n"]
     # an isolated vertex is its label and a colon
     assert list(build_graph(ChannelParams(1, 1), 1).adjacency_lines()) == ["0:\n", "1:\n"]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_half_rows_refuses_a_block_length_below_one(n):
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        half_rows(ChannelParams(2, 2), n)

@@ -152,3 +152,20 @@ def test_growth_ratio_limits():
 def test_growth_ratio_requires_settled_recurrence():
     with pytest.raises(ValueError):
         growth_ratio(4, 7)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: pairwise_block_code(0), "block length", id="pairwise(0)"),
+        pytest.param(lambda: forbidden_run_code(0, 3), "block length", id="forbidden_run(0,3)"),
+        pytest.param(lambda: forbidden_run_code(5, 1), "run bound", id="forbidden_run(5,1)"),
+        pytest.param(lambda: forbidden_run_counts(1, 5), "run bound", id="fr_counts(1,5)"),
+        pytest.param(lambda: forbidden_run_counts(3, -1), "n_max", id="fr_counts(3,-1)"),
+        pytest.param(lambda: no_run_break_counts(2, 5), "k2 must be >= 3", id="nrb_counts(2,5)"),
+        pytest.param(lambda: no_run_break_counts(4, -1), "n_max", id="nrb_counts(4,-1)"),
+    ],
+)
+def test_construction_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,3 +108,46 @@ def test_run_steps_break_flags_match_the_channel_conditions(span):
             assert breaks == condition_a(as_input, word, t), (str(word), t)
             assert breaks == condition_b(as_output, sym, word.prefix(t - 1), t), (str(word), t)
     assert len(steps) == 1 + 2 * max(span - 1, 1)
+
+
+def test_bits_is_a_checked_str():
+    x = Bits("01")
+    assert isinstance(x, str)
+    assert x == "01" and hash(x) == hash("01")
+    assert x[0] == "0" and x[1:] == "1"
+    assert Bits(x) == x
+    with pytest.raises(ValueError, match="symbols must be 0 or 1, got '012'"):
+        Bits("012")
+
+
+def test_bits_operations_stay_bits():
+    assert type(Bits("0110").prefix(2)) is Bits
+    joined = Bits("01") + Bits("10")
+    assert type(joined) is Bits
+    assert list(joined) == [0, 1, 1, 0]
+    with pytest.raises(ValueError):
+        Bits("01") + "2"
+    assert repr(Bits("01")) == "Bits('01')"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_bits_pickle_round_trip(protocol):
+    x = Bits("0110")
+    copy = pickle.loads(pickle.dumps(x, protocol))
+    assert copy == x
+    assert type(copy) is Bits
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Bits.from_index(0, -1), "length must be", id="from_index(0,-1)"),
+        pytest.param(lambda: Bits.from_index(16, 4), "index 16 out of", id="from_index(16,4)"),
+        pytest.param(lambda: Bits("01").prefix(3), "prefix length 3", id="prefix(3)"),
+        pytest.param(lambda: contains_run(Bits("01"), 0), "run length", id="contains_run(x,0)"),
+        pytest.param(lambda: next(all_sequences(-1)), "length must be", id="all_sequences(-1)"),
+    ],
+)
+def test_sequence_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

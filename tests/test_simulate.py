@@ -201,3 +201,15 @@ def test_trials_call_the_traced_patch_points(monkeypatch):
         monkeypatch.setattr(simulate, name, counted)
     zero_error_trial(ChannelParams(2, 1), pairwise_block_code(4), 5, seed=0, force=True)
     assert calls == {"_sample": 5, "decode": 5}
+
+
+@pytest.mark.parametrize(
+    "code, trials, message",
+    [
+        pytest.param(pairwise_block_code(4), -1, "trial count", id="negative-trials"),
+        pytest.param(Code.from_words([], n=4), 1, "code is empty", id="empty-code"),
+    ],
+)
+def test_trial_refusals(code, trials, message):
+    with pytest.raises(ValueError, match=message):
+        zero_error_trial(ChannelParams(2, 1), code, trials, seed=0)
