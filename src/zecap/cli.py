@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from math import log2
+from re import finditer
 
 from .capacity import bounds_table, capacity, lambda_root, omega_root
 from .channel import ChannelParams
@@ -23,7 +26,7 @@ from .codesearch import (
     verify_code,
     write_code_file,
 )
-from .confusability import GRAPH_CAP, build_graph
+from .confusability import GRAPH_CAP, half_rows
 from .constructions import (
     forbidden_run_code,
     forbidden_run_counts,
@@ -75,14 +78,23 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _adjacency_lines(half: tuple[int, ...]) -> Iterator[str]:
+    """`i: j1 j2 ...` per vertex, neighbours ascending, from the 0-half rows alone."""
+    spec = f"0{2 * len(half)}b"  # row i read from its top bit lists vertex N-1-i's neighbours
+    halves = (f"{row:b}"[::-1] for row in half), (format(row, spec) for row in reversed(half))
+    for i, bits in enumerate(chain(*halves)):
+        neighbors = " ".join(str(one.start()) for one in finditer("1", bits))
+        yield f"{i}: {neighbors}\n" if neighbors else f"{i}:\n"
+
+
 def _cmd_graph(args: argparse.Namespace) -> int:
-    graph = build_graph(ChannelParams(args.k1, args.k2), args.n)
+    lines = _adjacency_lines(tuple(half_rows(ChannelParams(args.k1, args.k2), args.n)))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.writelines(graph.adjacency_lines())
+            fh.writelines(lines)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        sys.stdout.writelines(graph.adjacency_lines())
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

@@ -46,10 +46,11 @@ is confusable with one that starts with 1: half_rows feeds confusable_rows
 the words that start with 0 alone, each ranked at its label, and its rows
 are the first half of the graph, all that `codesearch.search` reads.
 Complementing x and y together keeps the channel law, so the row of word
-N-1-i is the row of word i read backwards over N bits. So a
-ConfusabilityGraph is given by its 0-half alone, build_graph stores
-half_rows as it is, and the other half is made byte by byte with `mirror`
-only when `rows` is first read.
+N-1-i is the row of word i read backwards over N bits: row i as an N-bit
+string, read from its top bit, lists the neighbours of N-1-i, and `zecap
+graph` prints that half so, unmirrored. A ConfusabilityGraph is given by its
+0-half alone: build_graph stores half_rows as it is, and the other half is
+made byte by byte with `mirror` only when `rows` is first read.
 """
 
 from __future__ import annotations
@@ -156,22 +157,9 @@ class ConfusabilityGraph:
         """Every vertex's row: the 0-half, then its mirror."""
         return (*self.half, *(mirror(row, self.n) for row in reversed(self.half)))
 
-    def neighbors(self, i: int) -> Iterator[int]:
-        bits = f"{self.rows[i]:b}"[::-1]  # bit j at index j
-        j = bits.find("1")
-        while j >= 0:
-            yield j
-            j = bits.find("1", j + 1)
-
     def edge_count(self) -> int:
         # each half holds its own edges, counted twice, and the halves match
         return sum(row.bit_count() for row in self.half)
-
-    def adjacency_lines(self) -> Iterator[str]:
-        """One line per vertex, formed as it is read: `i: j1 j2 ...` (neighbors ascending)."""
-        for i in range(len(self.rows)):
-            neighbors = " ".join(map(str, self.neighbors(i)))
-            yield f"{i}: {neighbors}\n" if neighbors else f"{i}:\n"
 
 
 @cache

@@ -1,8 +1,9 @@
 """Brute-force reference implementations, deliberately independent of the
 paths they check: output sets by scanning every candidate output through the
 step transition probabilities, code validity by the pairwise DP over every
-pair of words, maximum independent sets by subset enumeration, and the
-forbidden-run family by filtering every sequence."""
+pair of words, maximum independent sets by subset enumeration, the
+forbidden-run family by filtering every sequence, and the graph's adjacency
+text by reading each full row, mirrored half included."""
 
 from zecap import (
     Bits,
@@ -64,3 +65,17 @@ def brute_mis_size(rows: list[int]) -> int:
 def forbidden_run_words(n: int, run_bound: int) -> list[Bits]:
     """Every length-n sequence with no run of run_bound equal symbols, in order."""
     return [x for x in all_sequences(n) if not contains_run(x, run_bound)]
+
+
+def adjacency_lines(rows: tuple[int, ...]) -> list[str]:
+    """`i: j1 j2 ...` per vertex, each read from its full (mirrored) row."""
+    lines = []
+    for i, row in enumerate(rows):
+        bits = f"{row:b}"[::-1]  # bit j at index j
+        neighbors = []
+        j = bits.find("1")
+        while j >= 0:
+            neighbors.append(str(j))
+            j = bits.find("1", j + 1)
+        lines.append(f"{i}: {' '.join(neighbors)}\n" if neighbors else f"{i}:\n")
+    return lines

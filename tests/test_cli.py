@@ -15,6 +15,8 @@ from zecap.codesearch import _max_independent
 from zecap.confusability import GRAPH_CAP, confusable_rows, half_rows
 from zecap.cli import main
 
+from oracles import adjacency_lines
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -104,11 +106,25 @@ def test_graph_out_file_matches_stdout(capsys, tmp_path):
     assert status == 0
     assert err == f"wrote {path}\n"
     assert path.read_text(encoding="ascii") == out == "".join(
-        build_graph(ChannelParams(3, 5), 6).adjacency_lines()
+        adjacency_lines(build_graph(ChannelParams(3, 5), 6).rows)
     )
 
 
-def test_graph_bytes_pinned(capsys):
+@pytest.mark.parametrize("k1, k2", [(k1, k2) for k1 in range(1, 5) for k2 in range(1, 5)])
+def test_graph_lines_match_the_full_mirrored_rows(capsys, k1, k2):
+    # n < 3 is where `mirror` pads the row to one byte
+    for n in range(1, 8):
+        status, out, _ = run_cli(capsys, "graph", "--k1", str(k1), "--k2", str(k2), "--n", str(n))
+        assert status == 0
+        assert out == "".join(adjacency_lines(build_graph(ChannelParams(k1, k2), n).rows))
+
+
+def test_graph_bytes_pinned(capsys, monkeypatch):
+    def no_mirror(*args):
+        raise AssertionError("the graph command mirrored a row")
+
+    # both halves are read from the 0-half rows alone
+    monkeypatch.setattr("zecap.confusability.mirror", no_mirror)
     status, out, _ = run_cli(capsys, "graph", "--k1", "3", "--k2", "5", "--n", "10")
     assert status == 0
     text = out.encode("ascii")
@@ -139,6 +155,15 @@ def test_graph_cap_ignores_the_environment(capsys, monkeypatch, argv):
     status, _, err = run_cli(capsys, *argv)
     assert status == 4
     assert err == f"refused: graph over 2^17 vertices exceeds cap {GRAPH_CAP}\n"
+
+
+def test_graph_refusal_leaves_no_out_file(capsys, tmp_path):
+    path = tmp_path / "graph.txt"
+    argv = ("graph", "--k1", "2", "--k2", "6", "--n", "17", "--out", str(path))
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (4, "")
+    assert err == f"refused: graph over 2^17 vertices exceeds cap {GRAPH_CAP}\n"
+    assert not path.exists()
 
 
 def test_search_json_and_witness(capsys, tmp_path):

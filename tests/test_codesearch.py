@@ -269,8 +269,10 @@ def test_verify_code_on_the_benchmark_confirm_codes(k1, k2):
         added = next(
             (
                 x
-                for x in graph.neighbors(label)
-                if graph.rows[x] & mask == 1 << label and (x ^ label) >> SUFFIX
+                for x in range(1 << n)
+                if graph.rows[label] >> x & 1
+                and graph.rows[x] & mask == 1 << label
+                and (x ^ label) >> SUFFIX
             ),
             None,
         )
