@@ -21,13 +21,7 @@ from .codesearch import (
     verify_code,
     write_code_file,
 )
-from .confusability import (
-    ConfusabilityGraph,
-    build_graph,
-    confusable_dp,
-    output_membership,
-    possible_outputs,
-)
+from .confusability import build_graph, confusable_dp, output_membership, possible_outputs
 from .constructions import (
     forbidden_run_code,
     forbidden_run_counts,
@@ -47,7 +41,6 @@ __all__ = [
     "CapacityResult",
     "ChannelParams",
     "Code",
-    "ConfusabilityGraph",
     "DecodeResult",
     "PreconditionError",
     "SearchResult",

@@ -20,13 +20,14 @@ from .channel import ChannelParams
 from .codesearch import (
     DEFAULT_TIME_LIMIT,
     Code,
+    _deadline,
     rate,
     read_code_file,
     search,
     verify_code,
     write_code_file,
 )
-from .confusability import GRAPH_CAP, half_rows
+from .confusability import half_rows
 from .constructions import (
     forbidden_run_code,
     forbidden_run_counts,
@@ -120,13 +121,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     params = ChannelParams(args.k1, args.k2)
-    # search checks the limit too, but a bad one is refused before the CSV header
-    if not args.time_limit >= 0:
-        raise ValueError(f"time limit must be >= 0, got {args.time_limit}")
+    # search checks the limit and the cap too, but a bad one is refused before
+    # the CSV header; half_rows checks n when called and walks nothing
+    _deadline(args.time_limit)
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= n-min <= n-max")
-    if args.n_max > GRAPH_CAP:  # refused before the header, as search would at n-max
-        raise CapExceededError(f"graph over 2^{args.n_max} vertices exceeds cap {GRAPH_CAP}")
+    half_rows(params, args.n_max)
     with_families = args.k1 == 1 and args.k2 >= 4
     if with_families:
         lower = forbidden_run_counts(args.k2 - 1, args.n_max)

@@ -17,8 +17,8 @@ solved on its own, reducing again, in label order, at every search node,
 and branching on the candidate with the most neighbours among the
 candidates (ties to the lowest label), whose inclusion removes the most
 candidates. One deadline covers every phase. search(params, n) reads the
-0-half rows from `half_rows`; optimal_code reads the 0-half that every
-ConfusabilityGraph, built by hand or not, is given by.
+0-half rows from `half_rows`; optimal_code reads the same 0-half, which
+build_graph stores in a ConfusabilityGraph.
 
 verify_code reads confusable_rows over the code's own words, as sorted
 strings whose lengths it checks first, and stops at the first conflict.

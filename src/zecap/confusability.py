@@ -133,24 +133,17 @@ class ConfusabilityGraph:
     """Graph over all length-n inputs; edges join non-distinguishable pairs.
 
     Vertex i is the i-th sequence in lexicographic order; adjacency is one
-    bit vector per vertex. The graph is given by its 0-half, the rows of the
-    2^(n-1) words that start with 0, none reaching a word that starts with
-    1; row N-1-i is `mirror(rows[i], n)` (the module docstring says why).
-    Value-identical across runs.
+    bit vector per vertex. build_graph gives it by its 0-half, the rows of
+    the 2^(n-1) words that start with 0; row N-1-i is `mirror(rows[i], n)`
+    (the module docstring says why). Value-identical across runs.
     """
 
     params: ChannelParams
-    n: int
     half: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("block length must be >= 1")
-        count = 1 << (self.n - 1)
-        if len(self.half) != count:
-            raise ValueError(f"the 0-half at n={self.n} has {count} rows, got {len(self.half)}")
-        if any(row < 0 or row.bit_length() > count for row in self.half):
-            raise ValueError("a 0-half row reaches a word that starts with 1")
+    @property
+    def n(self) -> int:
+        return len(self.half).bit_length()  # the 0-half has 2^(n-1) rows
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -329,4 +322,4 @@ def half_rows(params: ChannelParams, n: int) -> Iterator[int]:
 
 def build_graph(params: ChannelParams, n: int) -> ConfusabilityGraph:
     """The confusability graph over all length-n inputs, from its 0-half rows."""
-    return ConfusabilityGraph(params, n, tuple(half_rows(params, n)))
+    return ConfusabilityGraph(params, tuple(half_rows(params, n)))

@@ -12,7 +12,6 @@ from zecap import (
     Bits,
     ChannelParams,
     Code,
-    ConfusabilityGraph,
     PreconditionError,
     all_sequences,
     build_graph,
@@ -30,7 +29,7 @@ from zecap import (
 )
 from zecap import codesearch
 from zecap.codesearch import _degree_order, _max_independent, _result
-from zecap.confusability import SUFFIX, confusable_rows, half_rows
+from zecap.confusability import SUFFIX, ConfusabilityGraph, confusable_rows, half_rows
 
 from oracles import brute_mis_size, pairwise_valid
 
@@ -394,7 +393,7 @@ def random_halves(draw):
         if draw(st.integers(0, 7)) < edge_eighths:
             half[i] |= 1 << j
             half[j] |= 1 << i
-    return ConfusabilityGraph(ChannelParams(1, 1), n, tuple(half))
+    return ConfusabilityGraph(ChannelParams(1, 1), tuple(half))
 
 
 def assert_independent(graph, code):
@@ -434,6 +433,22 @@ def test_optimal_code_kernel_with_edges():
         assert verify_code(params, result.witness)
 
 
+def test_graph_route_gives_what_the_benchmark_reads():
+    # the reads of the benchmark's search check at its (2,5) n=11 point: the
+    # graph's params, edge count and full mirrored rows, and an optimal
+    # witness independent in those rows
+    params = ChannelParams(2, 5)
+    graph = build_graph(params, 11)
+    assert graph.params == params
+    assert graph.edge_count() == 707014
+    assert graph.rows == tuple(confusable_rows(params, 11, map(str, all_sequences(11))))
+    result = optimal_code(graph, time_limit=60.0)
+    assert result.optimal
+    assert result.size == len(result.witness.words) == 12
+    assert_independent(graph, result.witness)
+    assert not any(confusable_dp(params, a, b) for a, b in combinations(result.witness, 2))
+
+
 def plain_search(graph):
     """The general search over every row of the graph, not its 0-half alone."""
     return _result(graph.n, *_max_independent(graph.rows, inf))
@@ -469,7 +484,7 @@ def test_mirrored_search_matches_the_plain_path_on_complement_closed_graphs():
                 for a, b in ((u, v), (count - 1 - u, count - 1 - v)):
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-        graph = ConfusabilityGraph(ChannelParams(1, 1), n, tuple(rows[: count // 2]))
+        graph = ConfusabilityGraph(ChannelParams(1, 1), tuple(rows[: count // 2]))
         assert graph.rows == tuple(rows)
         found, plain = optimal_code(graph), plain_search(graph)
         assert found.optimal and plain.optimal
@@ -496,7 +511,7 @@ def test_optimal_code_closes_disjoint_cycles():
         v = u - u % 5 + (u + 1) % 5
         half[u] |= 1 << v
         half[v] |= 1 << u
-    graph = ConfusabilityGraph(ChannelParams(1, 1), 8, tuple(half))
+    graph = ConfusabilityGraph(ChannelParams(1, 1), tuple(half))
     result = optimal_code(graph)
     assert result.optimal
     assert result.size == 106
@@ -527,7 +542,7 @@ def test_optimal_code_search_timeout_keeps_best_found():
         if rng.random() < 0.1:
             half[u] |= 1 << v
             half[v] |= 1 << u
-    graph = ConfusabilityGraph(ChannelParams(1, 1), 8, tuple(half))
+    graph = ConfusabilityGraph(ChannelParams(1, 1), tuple(half))
     start = time.perf_counter()
     result = optimal_code(graph, time_limit=0.5)
     assert time.perf_counter() - start < 0.5 + DEADLINE_SLACK

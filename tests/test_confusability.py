@@ -9,7 +9,6 @@ from zecap import (
     Bits,
     CapExceededError,
     ChannelParams,
-    ConfusabilityGraph,
     all_sequences,
     build_graph,
     confusable_dp,
@@ -21,6 +20,7 @@ from zecap.confusability import (
     GRAPH_CAP,
     OUTPUT_CAP,
     SUFFIX,
+    ConfusabilityGraph,
     _joint_steps,
     _suffix_sets,
     confusable_rows,
@@ -331,14 +331,38 @@ def test_suffix_sets_match_a_walk_of_the_joint_steps():
 
 
 def test_mirrored_graph_matches_the_full_walk():
-    # build_graph walks only the words starting with 0 and mirrors the rest
-    # by complement, at every n
+    # build_graph walks only the words starting with 0, reads n from the
+    # 2^(n-1) rows of that half (one at n = 1, two at n = 2) and mirrors the
+    # rest by complement, at every n
     for k1 in range(1, 6):
         for k2 in range(1, 6):
             params = ChannelParams(k1, k2)
             for n in range(1, 10):
                 full = tuple(confusable_rows(params, n, map(str, all_sequences(n))))
-                assert build_graph(params, n).rows == full
+                graph = build_graph(params, n)
+                assert graph.n == n
+                assert graph.rows == full
+    # the top bit of a 0-half row is its last word, the edge 0-3 mirrors to
+    # 4-7, and n = 1 has one row
+    graph = ConfusabilityGraph(ChannelParams(1, 1), (1 << 3, 0, 0, 1))
+    assert graph.rows == (1 << 3, 0, 0, 1, 1 << 7, 0, 0, 1 << 4)
+    assert graph.edge_count() == 2
+    graph = ConfusabilityGraph(ChannelParams(1, 1), (0,))
+    assert graph.rows == (0, 0)
+    assert graph.edge_count() == 0
+
+
+def test_half_rows_reach_no_word_that_starts_with_1():
+    # no output differs from the input at t = 1, so no row of a word that
+    # starts with 0 sets the bit of label 2^(n-1), the first word starting
+    # with 1, or any bit past it
+    for k1 in range(1, 7):
+        for k2 in range(1, 7):
+            for n in range(1, 11):
+                first_one = 1 << (1 << (n - 1))
+                rows = tuple(half_rows(ChannelParams(k1, k2), n))
+                assert len(rows) == 1 << (n - 1), (k1, k2, n)
+                assert all(0 <= row < first_one for row in rows), (k1, k2, n)
 
 
 def test_graph_symmetric_and_irreflexive():
@@ -364,26 +388,6 @@ def test_graph_equality_ignores_the_rows_read():
     assert a == b
     assert hash(a) == hash(b)
     assert {a, b} == {b}
-
-
-def test_graph_refuses_a_malformed_half():
-    params = ChannelParams(1, 1)
-    with pytest.raises(ValueError, match="has 4 rows, got 8"):
-        ConfusabilityGraph(params, 3, (0,) * 8)
-    with pytest.raises(ValueError, match="has 4 rows, got 3"):
-        ConfusabilityGraph(params, 3, (0,) * 3)
-    for row in (1 << 4, 1 << 7 | 1, -1):
-        with pytest.raises(ValueError, match="starts with 1"):
-            ConfusabilityGraph(params, 3, (0, row, 0, 0))
-    for n in (0, -1):
-        with pytest.raises(ValueError, match=">= 1"):
-            ConfusabilityGraph(params, n, (0,))
-    # the top bit of a 0-half row is its last word, the edge 0-3 mirrors to
-    # 4-7, and n = 1 has one row
-    graph = ConfusabilityGraph(params, 3, (1 << 3, 0, 0, 1))
-    assert graph.rows == (1 << 3, 0, 0, 1, 1 << 7, 0, 0, 1 << 4)
-    assert graph.edge_count() == 2
-    assert ConfusabilityGraph(params, 1, (0,)).rows == (0, 0)
 
 
 @pytest.mark.parametrize("k1, k2, n", [(2, 5, 11), (3, 5, 12), (1, 5, 12), (4, 6, 12)])
