@@ -20,14 +20,14 @@ candidates. One deadline covers every phase. search(params, n) reads the
 0-half rows from `half_rows`; optimal_code reads the same 0-half, which
 build_graph stores in a ConfusabilityGraph.
 
-verify_code reads confusable_rows over the code's own words, as sorted
-strings whose lengths it checks first, and stops at the first conflict.
+verify_code reads confusable_rows over the code's words as Code holds
+them, of length n and ascending, and stops at the first conflict.
 The walk leaves a word once it has parted from every other word, so its
 cost follows the depth at which the code's words part, not n. A code
 whose words, repeats counted, are closed under the same complement needs
 only the rows of its words that start with 0, the cut half_rows makes;
-one string comparison decides this, the sorted words joined and
-complemented against the same words joined in descending order.
+one string comparison decides this, the words joined and complemented
+against the same words joined in descending order.
 """
 
 from __future__ import annotations
@@ -53,29 +53,29 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 @dataclass(frozen=True)
 class Code:
-    """Equal-length words, stored sorted; from_words drops repeats, read_code_file keeps them."""
+    """Words of length n in ascending order, repeats kept; from_words sorts and drops repeats."""
 
     n: int
     words: tuple[Bits, ...]
+
+    def __post_init__(self) -> None:
+        if any(len(w) != self.n for w in self.words):
+            raise ValueError(f"code words must all have length {self.n}")
+        if any(map(str.__gt__, self.words, self.words[1:])):
+            raise ValueError("code words must be in ascending order")
 
     @classmethod
     def from_words(cls, words: Iterable[Bits], n: int | None = None) -> "Code":
         unique = sorted(set(words))
         if not unique and n is None:
             raise ValueError("empty code needs an explicit block length")
-        length = n if n is not None else len(unique[0])
-        if any(len(w) != length for w in unique):
-            raise ValueError("code words must all have the same length")
-        return cls(n=length, words=tuple(unique))
+        return cls(n=n if n is not None else len(unique[0]), words=tuple(unique))
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __iter__(self) -> Iterator[Bits]:
         return iter(self.words)
-
-    def __contains__(self, word: Bits) -> bool:
-        return word in self.words
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,12 @@ class SearchResult:
 def verify_code(params: ChannelParams, code: Code) -> bool:
     """True iff every distinct pair of words is distinguishable (a repeat is not).
 
-    When the words, as a multiset, are closed under bit complement, only
-    the rows of the words that start with 0 are read: a confusable pair
-    of words that start with 1 has its mirror in the code, and that pair,
-    confusable too (see `confusability`), starts with 0.
+    The words are read ascending, as Code holds them. When they, as a
+    multiset, are closed under bit complement, only the rows of the words
+    that start with 0 are read: a confusable pair of words that start with
+    1 has in the code its mirror, a confusable pair that starts with 0.
     """
-    words = sorted(code.words)
-    if any(len(w) != code.n for w in words):
-        raise ValueError("code words must all have length n")
+    words = code.words
     rows = confusable_rows(params, code.n, words)
     # complementing every word reverses their order, so a closed multiset
     # reads, complemented in ascending order, as itself in descending order
@@ -119,13 +117,14 @@ def rate(n: int, size: int) -> float:
 
 
 def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) -> Code:
-    """Swap codeword x for x_new; requires every output of x_new to be one of x's.
+    """Swap one copy of codeword x for x_new; requires every output of x_new to be one of x's.
 
-    Under that containment the updated set stays a zero-error code. It is
-    checked by one forward pass over the pairs of channel states (x_new's,
-    x's) that a shared output prefix reaches, with no length cap. An output
-    prefix that x_new allows and x does not, followed by the rest of x_new,
-    which is always possible, names an offending output.
+    The other words stay as listed, repeats included. Under that
+    containment the updated set stays a zero-error code. It is checked by
+    one forward pass over the pairs of channel states (x_new's, x's) that a
+    shared output prefix reaches, with no length cap. An output prefix that
+    x_new allows and x does not, followed by the rest of x_new, which is
+    always possible, names an offending output.
     """
     if x not in code:
         raise PreconditionError(f"{x} is not a codeword")
@@ -147,7 +146,8 @@ def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) ->
                     )
                 nxt.setdefault((new, old), y_next)
         level = nxt
-    return Code.from_words([w for w in code.words if w != x] + [x_new], n=code.n)
+    i = code.words.index(x)
+    return Code(n=code.n, words=tuple(sorted((*code.words[:i], *code.words[i + 1 :], x_new))))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -316,7 +316,8 @@ def read_code_file(path: str | os.PathLike[str]) -> tuple[ChannelParams, Code]:
     """Read a code file written by write_code_file, bit-exact.
 
     Every listed word is kept, a repeat included, so that verify_code sees
-    the repeat; the words are stored sorted, as Code keeps them.
+    the repeat; the words are sorted, as Code holds them, so a file read
+    out of order gives the same code as its sorted twin.
     """
     with open(path, encoding="ascii") as fh:
         header = fh.readline()
@@ -329,6 +330,4 @@ def read_code_file(path: str | os.PathLike[str]) -> tuple[ChannelParams, Code]:
             line = line.strip()
             if line:
                 words.append(Bits(line))
-    if any(len(w) != n for w in words):
-        raise ValueError(f"{path}: code words must all have length {n}")
     return ChannelParams(k1, k2), Code(n=n, words=tuple(sorted(words)))

@@ -19,6 +19,7 @@ from zecap import (
     forbidden_run_code,
     optimal_code,
     output_membership,
+    pairwise_block_code,
     possible_outputs,
     rate,
     read_code_file,
@@ -26,6 +27,7 @@ from zecap import (
     search,
     verify_code,
     write_code_file,
+    zero_error_trial,
 )
 from zecap import codesearch
 from zecap.codesearch import _degree_order, _max_independent, _result
@@ -83,7 +85,8 @@ def test_verify_code_matches_pairwise_oracle(k1, k2, n, data):
         words.append(y)
         expected = False
     if data.draw(st.booleans()):
-        code = Code(n=n, words=tuple(data.draw(st.permutations(words))))
+        # built directly, a code keeps its repeats
+        code = Code(n=n, words=tuple(sorted(words)))
     else:
         code = Code.from_words(words, n=n)
         # an output equal to its codeword is dropped as a repeat
@@ -95,7 +98,7 @@ def test_verify_code_matches_pairwise_oracle(k1, k2, n, data):
 @pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1), (4, 4)])
 def test_verify_code_rejects_a_repeated_word(k1, k2):
     params = ChannelParams(k1, k2)
-    code = Code(n=4, words=(Bits("1100"), Bits("0011"), Bits("1100")))
+    code = Code(n=4, words=(Bits("0011"), Bits("1100"), Bits("1100")))
     assert verify_code(params, code) is False
     assert pairwise_valid(params, code) is False
 
@@ -112,8 +115,9 @@ def test_verify_code_empty_and_single_word():
 
 
 def test_verify_code_rejects_words_of_the_wrong_length():
-    # the second pair has 6 symbols in all: joined and cut into columns, it
-    # would read as two 3-bit words
+    # Code refuses both before verify_code reads them; the second pair has 6
+    # symbols in all: joined and cut into columns, it would read as two 3-bit
+    # words
     for words in ((Bits("010"), Bits("01")), (Bits("0101"), Bits("01"))):
         with pytest.raises(ValueError):
             verify_code(ChannelParams(2, 2), Code(n=3, words=words))
@@ -184,9 +188,6 @@ def test_verify_code_matches_pairwise_oracle_on_complement_closed_codes(k1, k2, 
     if data.draw(st.booleans()):
         labels.append(data.draw(st.sampled_from(labels)))
     code = closed_code(n, labels)
-    if data.draw(st.booleans()):
-        # a code built directly need not be sorted; the closure check sorts
-        code = Code(n=n, words=tuple(data.draw(st.permutations(code.words))))
     assert verify_code(params, code) is pairwise_valid(params, code)
 
 
@@ -215,9 +216,12 @@ def test_verify_code_finds_a_one_half_conflict_through_its_mirror(monkeypatch):
     assert verify_code(params, code) is False
     assert pairwise_valid(params, code) is False
     # unsorted, each word's complement sits at the mirror position, yet a
-    # bisect for the first word starting with 1 would land at 0 and read no row
+    # bisect for the first word starting with 1 would land at 0 and read no
+    # row: Code refuses that order, and the sorted code is caught
     order = ("1000", "1001", "0011", "1100", "0110", "0111")
-    assert verify_code(params, Code(n=4, words=tuple(map(Bits, order)))) is False
+    with pytest.raises(ValueError, match="ascending order"):
+        Code(n=4, words=tuple(map(Bits, order)))
+    assert verify_code(params, Code(n=4, words=tuple(map(Bits, sorted(order))))) is False
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -295,7 +299,8 @@ def test_verify_code_on_the_benchmark_traffic_code(monkeypatch):
     # each codeword's one output is itself and no other word's, so only a
     # repeat conflicts with a codeword; two new words can conflict, here
     # ones that differ above the suffix
-    assert verify_code(params, Code(n=n, words=(*code.words, code.words[100]))) is False
+    repeated = tuple(sorted((*code.words, code.words[100])))
+    assert verify_code(params, Code(n=n, words=repeated)) is False
     x, y = next(
         (x, y)
         for x in all_sequences(n)
@@ -673,6 +678,17 @@ def test_replace_codeword_agrees_with_output_set_inclusion():
                 assert named in outputs[x_new] and named not in outputs[x]
 
 
+def test_replace_codeword_keeps_the_repeats_of_the_other_words(tmp_path):
+    params = ChannelParams(2, 1)
+    path = tmp_path / "repeat.code"
+    path.write_text("# zecap code n=4 k1=2 k2=1\n0000\n1111\n1111\n")
+    _, code = read_code_file(path)
+    assert verify_code(params, code) is False
+    updated = replace_codeword(params, code, Bits("0000"), Bits("0000"))
+    assert updated.words == ("0000", "1111", "1111")
+    assert verify_code(params, updated) is False
+
+
 def test_replace_codeword_has_no_length_cap():
     # under (2,1) every step of 0101... breaks an input run, so its outputs
     # are all the words that start with 0, and 0^40 may replace it
@@ -730,6 +746,40 @@ def test_code_file_round_trip(tmp_path):
     assert read_code == code
 
 
+def read_repeat_code(path):
+    """A code file listing 1111 twice, out of order, as read back."""
+    path.write_text("# zecap code n=4 k1=2 k2=1\n1111\n0000\n1111\n")
+    return read_code_file(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda path: (ChannelParams(3, 5), search(ChannelParams(3, 5), 8).witness),
+            id="search",
+        ),
+        pytest.param(
+            lambda path: (ChannelParams(4, 4), forbidden_run_code(8, 3)), id="forbidden-run"
+        ),
+        pytest.param(
+            lambda path: (ChannelParams(2, 1), pairwise_block_code(5)), id="pairwise-block"
+        ),
+        pytest.param(read_repeat_code, id="read-with-repeat"),
+    ],
+)
+def test_code_replays_the_same_from_memory_and_from_its_file(tmp_path, make):
+    params, code = make(tmp_path / "source.code")
+    path = tmp_path / "code.code"
+    write_code_file(path, params, code)
+    read_params, read_code = read_code_file(path)
+    assert (read_params, read_code) == (params, code)
+    # forced, so that the code with a repeat runs too
+    assert zero_error_trial(params, read_code, 50, 3, force=True) == zero_error_trial(
+        params, code, 50, 3, force=True
+    )
+
+
 def test_code_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a header\n0000\n")
@@ -751,6 +801,16 @@ def test_code_file_rejects_a_word_of_the_wrong_length(tmp_path):
             lambda: Code.from_words([]),
             "empty code needs an explicit block length",
             id="from_words-empty",
+        ),
+        pytest.param(
+            lambda: Code(n=2, words=(Bits("11"), Bits("01"), Bits("00"))),
+            "code words must be in ascending order",
+            id="Code-unsorted",
+        ),
+        pytest.param(
+            lambda: Code(n=2, words=(Bits("01"), Bits("011"))),
+            "code words must all have length 2",
+            id="Code-wrong-length",
         ),
         pytest.param(lambda: rate(0, 1), "block length must be >= 1", id="rate(0,1)"),
         pytest.param(
