@@ -21,13 +21,13 @@ candidates. One deadline covers every phase. search(params, n) reads the
 build_graph stores in a ConfusabilityGraph.
 
 verify_code reads confusable_rows over the code's words as Code holds
-them, of length n and ascending, and stops at the first conflict.
+them, Bits of length n and ascending, and stops at the first conflict.
 The walk leaves a word once it has parted from every other word, so its
 cost follows the depth at which the code's words part, not n. A code
-whose words, repeats counted, are closed under the same complement needs
-only the rows of its words that start with 0, the cut half_rows makes;
-one string comparison decides this, the words joined and complemented
-against the same words joined in descending order.
+whose words, repeats counted, are closed under the same complement walks
+only its words that start with 0, the cut half_rows makes; one string
+comparison decides this, the words joined and complemented against the
+same words joined in descending order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-from itertools import islice
 from math import log2
 
 from .channel import ChannelParams, channel_steps
@@ -51,22 +50,29 @@ DEFAULT_TIME_LIMIT = 60.0
 _COMPLEMENT = str.maketrans("01", "10")
 
 
+def _as_bits(word: str) -> Bits:
+    """word checked as a Bits; one that already is one is kept as it is."""
+    return word if isinstance(word, Bits) else Bits(word)
+
+
 @dataclass(frozen=True)
 class Code:
-    """Words of length n in ascending order, repeats kept; from_words sorts and drops repeats."""
+    """Bits of length n in ascending order, repeats kept; from_words wraps, sorts and drops repeats."""
 
     n: int
     words: tuple[Bits, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(w, Bits) for w in self.words):
+            raise ValueError("code words must be Bits")
         if any(len(w) != self.n for w in self.words):
             raise ValueError(f"code words must all have length {self.n}")
         if any(map(str.__gt__, self.words, self.words[1:])):
             raise ValueError("code words must be in ascending order")
 
     @classmethod
-    def from_words(cls, words: Iterable[Bits], n: int | None = None) -> "Code":
-        unique = sorted(set(words))
+    def from_words(cls, words: Iterable[str], n: int | None = None) -> "Code":
+        unique = sorted(set(map(_as_bits, words)))
         if not unique and n is None:
             raise ValueError("empty code needs an explicit block length")
         return cls(n=n if n is not None else len(unique[0]), words=tuple(unique))
@@ -94,17 +100,17 @@ def verify_code(params: ChannelParams, code: Code) -> bool:
     """True iff every distinct pair of words is distinguishable (a repeat is not).
 
     The words are read ascending, as Code holds them. When they, as a
-    multiset, are closed under bit complement, only the rows of the words
-    that start with 0 are read: a confusable pair of words that start with
-    1 has in the code its mirror, a confusable pair that starts with 0.
+    multiset, are closed under bit complement, only the words that start
+    with 0 are walked: a confusable pair of words that start with 1 has in
+    the code its mirror, a confusable pair that starts with 0, and no word
+    that starts with 1 is confusable with one that starts with 0.
     """
     words = code.words
-    rows = confusable_rows(params, code.n, words)
     # complementing every word reverses their order, so a closed multiset
     # reads, complemented in ascending order, as itself in descending order
     if "".join(words).translate(_COMPLEMENT) == "".join(reversed(words)):
-        rows = islice(rows, bisect_left(words, "1"))
-    return not any(rows)
+        words = words[: bisect_left(words, "1")]
+    return not any(confusable_rows(params, code.n, words))
 
 
 def rate(n: int, size: int) -> float:
@@ -116,7 +122,7 @@ def rate(n: int, size: int) -> float:
     return log2(size) / n
 
 
-def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) -> Code:
+def replace_codeword(params: ChannelParams, code: Code, x: str, x_new: str) -> Code:
     """Swap one copy of codeword x for x_new; requires every output of x_new to be one of x's.
 
     The other words stay as listed, repeats included. Under that
@@ -130,6 +136,7 @@ def replace_codeword(params: ChannelParams, code: Code, x: Bits, x_new: Bits) ->
         raise PreconditionError(f"{x} is not a codeword")
     if len(x_new) != code.n:
         raise ValueError("replacement word has the wrong length")
+    x, x_new = _as_bits(x), _as_bits(x_new)
     table = channel_steps(params.k1, params.k2)
     level = {(0, 0): ""}  # per pair of states, the first output prefix reaching it
     for t, (s_new, s_old) in enumerate(zip(x_new, x), 1):

@@ -1,5 +1,5 @@
-"""Binary sequence primitives: the checked `Bits` string with 1-based `at`
-and `prefix`, run tests, enumeration, and the run-state step table that
+"""Binary sequence primitives: the checked `Bits` string with a 1-based `at`,
+run tests, enumeration, and the run-state step table that
 `channel.channel_steps` is built from."""
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ ENUMERATION_CAP = 24
 class Bits(str):
     """A binary sequence: a str of '0'/'1' symbols, checked at construction.
 
-    `at` and `prefix` count positions from 1, iteration yields the symbols
-    as ints, and `[i]` and slices are the string's. Ordering and hashing
-    are the string's, so lexicographic sequence order coincides with the
-    order of `to_index` values.
+    `at` counts positions from 1, iteration yields the symbols as ints, and
+    `[i]`, slices and `+` are the string's, giving a plain str (a prefix is
+    `Bits(x[:t])`). Ordering and hashing are the string's, so lexicographic
+    sequence order coincides with the order of `to_index` values.
     """
 
     __slots__ = ()
@@ -48,17 +48,8 @@ class Bits(str):
             raise ValueError(f"position {t} out of range 1..{len(self)}")
         return ord(self[t - 1]) - 48
 
-    def prefix(self, t: int) -> "Bits":
-        """The first t symbols (t may be 0)."""
-        if not 0 <= t <= len(self):
-            raise ValueError(f"prefix length {t} out of range")
-        return Bits(self[:t])
-
     def __iter__(self) -> Iterator[int]:
         return (ord(c) - 48 for c in str.__iter__(self))
-
-    def __add__(self, other: str) -> "Bits":
-        return Bits(str.__add__(self, other))
 
     def __repr__(self) -> str:
         return f"Bits({str.__repr__(self)})"

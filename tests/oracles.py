@@ -1,14 +1,18 @@
 """Brute-force reference implementations, deliberately independent of the
 paths they check: output sets by scanning every candidate output through the
-step transition probabilities, code validity by the pairwise DP over every
-pair of words, maximum independent sets by subset enumeration, the
-forbidden-run family by filtering every sequence, and the graph's adjacency
-text by reading each full row, mirrored half included."""
+step transition probabilities, decoding by those output sets, code validity
+by the pairwise DP over every pair of words, maximum independent sets by
+subset enumeration, the forbidden-run family by filtering every sequence,
+and the graph's adjacency text by reading each full row, mirrored half
+included."""
+
+from functools import cache
 
 from zecap import (
     Bits,
     ChannelParams,
     Code,
+    DecodeResult,
     all_sequences,
     confusable_dp,
     contains_run,
@@ -16,17 +20,28 @@ from zecap import (
 )
 
 
+@cache
 def enumerate_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
-    """Every y whose stepwise transition probabilities are all positive."""
+    """Every y whose stepwise transition probabilities are all positive (cached)."""
     n = len(x)
     members = []
     for y in all_sequences(n):
         if all(
-            transition_prob(params, x.prefix(t), y.prefix(t - 1), y.at(t)) > 0
+            transition_prob(params, Bits(x[:t]), Bits(y[: t - 1]), y.at(t)) > 0
             for t in range(1, n + 1)
         ):
             members.append(y)
     return frozenset(members)
+
+
+def decode_by_enumeration(params: ChannelParams, code: Code, y: Bits) -> DecodeResult:
+    """decode's answer from each codeword's enumerated output set."""
+    producers = [word for word in code.words if y in enumerate_outputs(params, word)]
+    if not producers:
+        return DecodeResult(status="none")
+    if len(producers) > 1:
+        return DecodeResult(status="ambiguous")
+    return DecodeResult(status="ok", word=producers[0])
 
 
 def brute_confusable(params: ChannelParams, a: Bits, b: Bits) -> bool:

@@ -449,6 +449,13 @@ def test_module_entry_point_runs():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["value"] == pytest.approx(0.694242, abs=1e-6)
+    result = run_child("-m", "zecap", "capacity", "--k1", "2", "--k2", "1")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["value"] == 0.5
+    # argparse's usage error: verify needs --code
+    result = run_child("-m", "zecap", "verify")
+    assert result.returncode == 2
+    assert "--code" in result.stderr
 
 
 def test_rates_refuses_past_cap(capsys):

@@ -135,7 +135,7 @@ def test_verify_code_past_the_recursion_limit():
     x, z, w = (short_runs(n) for _ in range(3))
     # "0001" breaks an input run at step 4, so "0000" + tail is an output of it
     tail = short_runs(n - 4)
-    a, b = Bits("0001") + tail, Bits("0000") + tail
+    a, b = Bits("0001" + tail), Bits("0000" + tail)
     assert output_membership(params, a, b)
     for words, expected in (((x, z, w), True), ((a, b, x), False)):
         code = Code.from_words(words)
@@ -640,6 +640,18 @@ def test_replace_codeword_example():
     assert verify_code(params, updated)
 
 
+def test_from_words_and_replace_codeword_wrap_plain_strings():
+    params = ChannelParams(2, 1)
+    code = Code.from_words(["00", "11"])
+    assert all(type(w) is Bits for w in code.words)
+    assert zero_error_trial(params, code, 100, 0).failures == 0
+    updated = replace_codeword(params, code, "11", "11")
+    assert updated == code and all(type(w) is Bits for w in updated.words)
+    # a word that is already Bits is kept, not checked again
+    word = Bits("01")
+    assert Code.from_words([word]).words[0] is word
+
+
 def test_replace_codeword_identity():
     params = ChannelParams(2, 1)
     code = make_code("00", "11")
@@ -812,6 +824,8 @@ def test_code_file_rejects_a_word_of_the_wrong_length(tmp_path):
             "code words must all have length 2",
             id="Code-wrong-length",
         ),
+        pytest.param(lambda: Code(n=2, words=("01",)), "must be Bits", id="Code-plain-str"),
+        pytest.param(lambda: Code(n=2, words=("0a",)), "must be Bits", id="Code-non-binary"),
         pytest.param(lambda: rate(0, 1), "block length must be >= 1", id="rate(0,1)"),
         pytest.param(
             lambda: replace_codeword(

@@ -7,6 +7,7 @@ from zecap import (
     ChannelParams,
     Code,
     PreconditionError,
+    all_sequences,
     decode,
     forbidden_run_code,
     output_membership,
@@ -15,6 +16,8 @@ from zecap import (
     sample_output,
     zero_error_trial,
 )
+
+from oracles import decode_by_enumeration
 
 
 def make_code(*words):
@@ -84,6 +87,21 @@ def test_decode_examples():
 
     nothing = decode(ChannelParams(1, 1), make_code("11"), Bits("00"))
     assert nothing.status == "none"
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_decode_matches_enumeration(k1, k2, n, data):
+    # random codes, verified or not and repeats kept, so every status is reached
+    params = ChannelParams(k1, k2)
+    labels = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    code = Code(n=n, words=tuple(Bits.from_index(i, n) for i in sorted(labels)))
+    for y in all_sequences(n):
+        assert decode(params, code, y) == decode_by_enumeration(params, code, y), str(y)
 
 
 def test_decode_noiseless_identity():
