@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .sequences import Bits, run_steps
+from .sequences import as_bits, run_steps
 
 
 @dataclass(frozen=True)
@@ -37,56 +37,57 @@ class ChannelParams:
             raise ValueError("memory spans k1, k2 must be >= 1")
 
 
-def condition_a(params: ChannelParams, x: Bits, t: int) -> bool:
+def condition_a(params: ChannelParams, x: str, t: int) -> bool:
     """Input-run break at step t: x_{t-1}..x_{t-k1+1} equal, x_t differs.
 
     Vacuously false for k1 = 1 and for t < k1.
     """
+    x = as_bits(x)
     if not 1 <= t <= len(x):
         raise ValueError(f"step {t} out of range 1..{len(x)}")
     k1 = params.k1
     if k1 == 1 or t < k1:
         return False
-    history = {x.at(i) for i in range(t - k1 + 1, t)}
-    return len(history) == 1 and x.at(t) not in history
+    history = set(x[t - k1 : t - 1])  # x_{t-k1+1}..x_{t-1}, 1-based
+    return len(history) == 1 and x[t - 1] not in history
 
 
-def condition_b(params: ChannelParams, x_t: int, y_prefix: Bits, t: int) -> bool:
+def condition_b(params: ChannelParams, x_t: int, y_prefix: str, t: int) -> bool:
     """Output-run break at step t: y_{t-1}..y_{t-k2+1} equal, x_t differs.
 
     Vacuously false for k2 = 1 and for t < k2.
     """
     if x_t not in (0, 1):
         raise ValueError("input symbol must be 0 or 1")
+    y_prefix = as_bits(y_prefix)
     if len(y_prefix) != t - 1:
         raise ValueError(f"output prefix must have length {t - 1}, got {len(y_prefix)}")
     k2 = params.k2
     if k2 == 1 or t < k2:
         return False
-    history = {y_prefix.at(i) for i in range(t - k2 + 1, t)}
-    return len(history) == 1 and x_t not in history
+    history = set(y_prefix[t - k2 : t - 1])  # y_{t-k2+1}..y_{t-1}, 1-based
+    return len(history) == 1 and "01"[x_t] not in history
 
 
-def step_outputs(params: ChannelParams, x_prefix: Bits, y_prefix: Bits) -> frozenset[int]:
+def step_outputs(params: ChannelParams, x_prefix: str, y_prefix: str) -> frozenset[int]:
     """Support of the next output symbol given input and output history.
 
     {0, 1} when either run-break condition fires at the current step,
     otherwise the singleton {x_t}.
     """
+    x_prefix, y_prefix = as_bits(x_prefix), as_bits(y_prefix)
     t = len(x_prefix)
     if t < 1:
         raise ValueError("input prefix must be nonempty")
     if len(y_prefix) != t - 1:
         raise ValueError(f"output prefix must have length {t - 1}, got {len(y_prefix)}")
-    x_t = x_prefix.at(t)
+    x_t = int(x_prefix[t - 1])
     if condition_a(params, x_prefix, t) or condition_b(params, x_t, y_prefix, t):
         return frozenset((0, 1))
     return frozenset((x_t,))
 
 
-def transition_prob(
-    params: ChannelParams, x_prefix: Bits, y_prefix: Bits, y_t: int
-) -> Fraction:
+def transition_prob(params: ChannelParams, x_prefix: str, y_prefix: str, y_t: int) -> Fraction:
     """P(y_t | input prefix, output prefix) as an exact rational.
 
     The output is uniform over its support, `step_outputs`.

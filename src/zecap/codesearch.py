@@ -43,16 +43,11 @@ from math import log2
 from .channel import ChannelParams, channel_steps
 from .confusability import ConfusabilityGraph, confusable_rows, half_rows, mirror
 from .errors import PreconditionError
-from .sequences import Bits
+from .sequences import Bits, as_bits, symbols
 
 DEFAULT_TIME_LIMIT = 60.0
 # swaps the symbols of a word: the complement verify_code tests closure under
 _COMPLEMENT = str.maketrans("01", "10")
-
-
-def _as_bits(word: str) -> Bits:
-    """word checked as a Bits; one that already is one is kept as it is."""
-    return word if isinstance(word, Bits) else Bits(word)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class Code:
 
     @classmethod
     def from_words(cls, words: Iterable[str], n: int | None = None) -> "Code":
-        unique = sorted(set(map(_as_bits, words)))
+        unique = sorted(set(map(as_bits, words)))
         if not unique and n is None:
             raise ValueError("empty code needs an explicit block length")
         return cls(n=n if n is not None else len(unique[0]), words=tuple(unique))
@@ -136,10 +131,10 @@ def replace_codeword(params: ChannelParams, code: Code, x: str, x_new: str) -> C
         raise PreconditionError(f"{x} is not a codeword")
     if len(x_new) != code.n:
         raise ValueError("replacement word has the wrong length")
-    x, x_new = _as_bits(x), _as_bits(x_new)
+    x_new = as_bits(x_new)
     table = channel_steps(params.k1, params.k2)
     level = {(0, 0): ""}  # per pair of states, the first output prefix reaching it
-    for t, (s_new, s_old) in enumerate(zip(x_new, x), 1):
+    for t, (s_new, s_old) in enumerate(zip(symbols(x_new), symbols(x)), 1):
         nxt: dict[tuple[int, int], str] = {}
         for (at_new, at_old), y in level.items():
             for y_t in (0, 1):

@@ -20,8 +20,8 @@ input run state, output run state) the union bitmask of the ranks of the
 words b whose prefix reaches it; appending a symbol to b ANDs that mask
 with the ranks having that symbol at that depth. Those column masks come
 from one join of the words, highest rank first, sliced every n symbols from
-each depth and read as binary; a trie node splits after as many ranks as
-its slice of the 0-column has set bits. A joint state is b's
+each depth and read as binary; a trie node splits its sorted words by
+bisecting them on the symbol at its depth. A joint state is b's
 `channel_steps` state. The walk reads a cached joint table built from
 `channel_steps`, mapping (a's input run state and symbol, joint state, b's
 symbol) straight to the next joint states; a's own input run state moves by
@@ -55,15 +55,16 @@ made byte by byte with `mirror` only when `rows` is first read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import product
-from operator import or_
+from operator import itemgetter, or_
 from collections.abc import Iterable, Iterator
 
 from .channel import ChannelParams, channel_steps
 from .errors import CapExceededError
-from .sequences import Bits, run_steps
+from .sequences import Bits, run_steps, symbols
 
 OUTPUT_CAP = 1 << 18
 GRAPH_CAP = 16  # the graph route's whole reach
@@ -71,7 +72,7 @@ GRAPH_CAP = 16  # the graph route's whole reach
 SUFFIX = 4
 
 
-def possible_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
+def possible_outputs(params: ChannelParams, x: str) -> frozenset[Bits]:
     """All outputs with positive probability, extended one step at a time.
 
     Output sets can be exponential in len(x); a step from more than
@@ -80,7 +81,7 @@ def possible_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
     """
     table = channel_steps(params.k1, params.k2)
     level = [(0, "")]  # (channel state, output prefix) per reachable prefix
-    for x_t in x:
+    for x_t in symbols(x):
         if len(level) > OUTPUT_CAP:
             raise CapExceededError(f"{len(level)} output prefixes exceed cap {OUTPUT_CAP}")
         level = [
@@ -92,20 +93,20 @@ def possible_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
     return frozenset(Bits(y) for _, y in level)
 
 
-def output_membership(params: ChannelParams, x: Bits, y: Bits) -> bool:
+def output_membership(params: ChannelParams, x: str, y: str) -> bool:
     """True iff y is a possible output for input x. Linear scan, no enumeration."""
     if len(x) != len(y):
         raise ValueError("input and output must have equal length")
     table = channel_steps(params.k1, params.k2)
     state = 0
-    for x_t, y_t in zip(x, y):
+    for x_t, y_t in zip(symbols(x), symbols(y)):
         state = table[state][2 * x_t + y_t]
         if state is None:
             return False
     return True
 
 
-def confusable_dp(params: ChannelParams, x: Bits, x_other: Bits) -> bool:
+def confusable_dp(params: ChannelParams, x: str, x_other: str) -> bool:
     """Decide whether two equal-length inputs share a possible output.
 
     Forward reachability over the pairs of channel states that one shared
@@ -115,7 +116,7 @@ def confusable_dp(params: ChannelParams, x: Bits, x_other: Bits) -> bool:
         raise ValueError("inputs must have equal length")
     table = channel_steps(params.k1, params.k2)
     states = {(0, 0)}
-    for s_a, s_b in zip(x, x_other):
+    for s_a, s_b in zip(symbols(x), symbols(x_other)):
         states = {
             (a_next, b_next)
             for a, b in states
@@ -228,8 +229,8 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
     smallest of them; a repeat is confusable with its copies, and a consumer
     may stop early. The caller checks the lengths: the columns are read by
     slicing the words joined end to end, so a word of another length shifts
-    every later one. A trie node covers ranks [lo, hi), splits them at its
-    0-column's popcount, and maps a joint (b run state, y run state) to a rank
+    every later one. A trie node covers ranks [lo, hi), splits them by bisecting
+    its words at its depth, and maps a joint (b run state, y run state) to a rank
     mask. A one-word node whose masks OR to its own bit (b = a keeps it) yields
     0 at once: masks only shrink below. The walk stops SUFFIX symbols above the
     leaves; there each mask ANDs the ranks ending in its `_suffix_sets` set of
@@ -286,7 +287,7 @@ def confusable_rows(params: ChannelParams, n: int, words: Iterable[str]) -> Iter
             if moved := mask & ones:
                 moves.append((2 * joint + 1, moved))
         # the ranks in [lo, hi) share their first `depth` symbols, so the 0s come first
-        split = lo + (zeros >> lo & ~(-1 << (hi - lo))).bit_count()
+        split = bisect_left(words, "1", lo, hi, key=itemgetter(depth))
         for s_a, child_lo, child_hi in ((1, split, hi), (0, lo, split)):
             if child_lo == child_hi:
                 continue

@@ -1,5 +1,5 @@
-"""Binary sequence primitives: the checked `Bits` string with a 1-based `at`,
-run tests, enumeration, and the run-state step table that
+"""Binary sequence primitives: the checked `Bits` string and its one int
+reader `symbols`, run tests, enumeration, and the run-state step table that
 `channel.channel_steps` is built from."""
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ ENUMERATION_CAP = 24
 class Bits(str):
     """A binary sequence: a str of '0'/'1' symbols, checked at construction.
 
-    `at` counts positions from 1, iteration yields the symbols as ints, and
-    `[i]`, slices and `+` are the string's, giving a plain str (a prefix is
-    `Bits(x[:t])`). Ordering and hashing are the string's, so lexicographic
-    sequence order coincides with the order of `to_index` values.
+    Iteration, `[i]`, slices and `+` are the string's, giving '0'/'1'
+    characters and plain strs (a prefix is `Bits(x[:t])`); `symbols` reads
+    the symbols as ints. Ordering and hashing are the string's, so
+    lexicographic sequence order coincides with the order of `to_index` values.
     """
 
     __slots__ = ()
@@ -42,17 +42,18 @@ class Bits(str):
         """Lexicographic rank among sequences of the same length."""
         return int(self, 2) if self else 0
 
-    def at(self, t: int) -> int:
-        """Symbol at 1-based position t."""
-        if not 1 <= t <= len(self):
-            raise ValueError(f"position {t} out of range 1..{len(self)}")
-        return ord(self[t - 1]) - 48
-
-    def __iter__(self) -> Iterator[int]:
-        return (ord(c) - 48 for c in str.__iter__(self))
-
     def __repr__(self) -> str:
         return f"Bits({str.__repr__(self)})"
+
+
+def as_bits(word: str) -> Bits:
+    """word checked as a Bits; one that already is one is kept as it is."""
+    return word if isinstance(word, Bits) else Bits(word)
+
+
+def symbols(word: str) -> Iterator[int]:
+    """The symbols of word as 0/1 ints, word checked by `as_bits` first."""
+    return (ord(c) - 48 for c in as_bits(word))
 
 
 def contains_run(x: Bits, run_length: int) -> bool:

@@ -14,17 +14,17 @@ from .channel import ChannelParams, channel_steps
 from .codesearch import Code, verify_code
 from .confusability import output_membership
 from .errors import PreconditionError
-from .sequences import Bits
+from .sequences import Bits, as_bits, symbols
 
 GENERATOR = "python-random-mt19937/getrandbits"
 MAX_REPORT_EXAMPLES = 10
 
 
-def _sample(params: ChannelParams, x: Bits, rng: random.Random) -> Bits:
+def _sample(params: ChannelParams, x: str, rng: random.Random) -> Bits:
     table = channel_steps(params.k1, params.k2)
     out: list[str] = []
     state = 0
-    for x_t in x:
+    for x_t in symbols(x):
         # a coin only where output 1 - x_t, entry 2 * x_t + 1 - x_t, is possible
         y_t = rng.getrandbits(1) if table[state][x_t + 1] is not None else x_t
         out.append("01"[y_t])
@@ -32,7 +32,7 @@ def _sample(params: ChannelParams, x: Bits, rng: random.Random) -> Bits:
     return Bits("".join(out))
 
 
-def sample_output(params: ChannelParams, x: Bits, seed: int) -> Bits:
+def sample_output(params: ChannelParams, x: str, seed: int) -> Bits:
     """Draw one output sequence for input x; same seed, same output."""
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -47,19 +47,15 @@ class DecodeResult:
     word: Bits | None = None
 
 
-def decode(params: ChannelParams, code: Code, y: Bits) -> DecodeResult:
+def decode(params: ChannelParams, code: Code, y: str) -> DecodeResult:
     """The unique codeword that can produce y, or a failure value."""
+    y = as_bits(y)
     if len(y) != code.n:
         raise ValueError("received word has the wrong length")
-    found: Bits | None = None
-    for word in code.words:
-        if output_membership(params, word, y):
-            if found is not None:
-                return DecodeResult(status="ambiguous")
-            found = word
-    if found is None:
-        return DecodeResult(status="none")
-    return DecodeResult(status="ok", word=found)
+    found = [word for word in code.words if output_membership(params, word, y)]
+    if len(found) == 1:
+        return DecodeResult(status="ok", word=found[0])
+    return DecodeResult(status="ambiguous" if found else "none")
 
 
 @dataclass(frozen=True)

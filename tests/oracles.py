@@ -27,7 +27,7 @@ def enumerate_outputs(params: ChannelParams, x: Bits) -> frozenset[Bits]:
     members = []
     for y in all_sequences(n):
         if all(
-            transition_prob(params, Bits(x[:t]), Bits(y[: t - 1]), y.at(t)) > 0
+            transition_prob(params, Bits(x[:t]), Bits(y[: t - 1]), int(y[t - 1])) > 0
             for t in range(1, n + 1)
         ):
             members.append(y)

@@ -4,7 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zecap import Bits, ChannelParams, condition_a, condition_b, step_outputs, transition_prob
+from zecap import (
+    Bits,
+    ChannelParams,
+    Code,
+    PreconditionError,
+    all_sequences,
+    condition_a,
+    condition_b,
+    confusable_dp,
+    decode,
+    output_membership,
+    possible_outputs,
+    replace_codeword,
+    sample_output,
+    step_outputs,
+    transition_prob,
+)
 from zecap.channel import channel_steps
 
 prefix_pairs = st.integers(min_value=1, max_value=10).flatmap(
@@ -100,7 +116,7 @@ def test_support_matches_step_outputs(params, prefixes):
 def test_no_memory_is_noiseless(prefixes):
     x_prefix, y_prefix = Bits(prefixes[0]), Bits(prefixes[1])
     params = ChannelParams(1, 1)
-    assert step_outputs(params, x_prefix, y_prefix) == frozenset({x_prefix.at(len(x_prefix))})
+    assert step_outputs(params, x_prefix, y_prefix) == frozenset({int(x_prefix[-1])})
 
 
 def test_simultaneous_conditions_still_fair_coin():
@@ -171,3 +187,80 @@ def test_first_output_always_equals_the_first_input():
 def test_channel_spec_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call(ChannelParams(2, 2))
+
+
+# Each public channel function on two length-n words a, b, with every word
+# argument passed through `word`, which is Bits or str: the answers must match.
+WORD_CALLS = [
+    pytest.param(lambda p, a, b, word: condition_a(p, word(a), len(a)), id="condition_a"),
+    pytest.param(
+        lambda p, a, b, word: condition_b(p, int(a[-1]), word(b[:-1]), len(a)), id="condition_b"
+    ),
+    pytest.param(lambda p, a, b, word: step_outputs(p, word(a), word(b[:-1])), id="step_outputs"),
+    pytest.param(
+        lambda p, a, b, word: transition_prob(p, word(a), word(b[:-1]), 1), id="transition_prob"
+    ),
+    pytest.param(lambda p, a, b, word: possible_outputs(p, word(a)), id="possible_outputs"),
+    pytest.param(
+        lambda p, a, b, word: output_membership(p, word(a), word(b)), id="output_membership"
+    ),
+    pytest.param(lambda p, a, b, word: confusable_dp(p, word(a), word(b)), id="confusable_dp"),
+    pytest.param(lambda p, a, b, word: sample_output(p, word(a), 7), id="sample_output"),
+    pytest.param(
+        lambda p, a, b, word: decode(p, Code.from_words([a, b, "1" * len(a)]), word(b)),
+        id="decode",
+    ),
+    pytest.param(
+        lambda p, a, b, word: replace_codeword(p, Code.from_words([a]), word(a), word(b)),
+        id="replace_codeword",
+    ),
+]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, PreconditionError) as refused:
+        return type(refused), str(refused)
+
+
+@pytest.mark.parametrize("call", WORD_CALLS)
+def test_channel_functions_take_plain_strings(call):
+    for k1 in range(1, 5):
+        for k2 in range(1, 5):
+            params = ChannelParams(k1, k2)
+            for n in range(1, 7):
+                words = [str(w) for w in all_sequences(n)]
+                for i, a in enumerate(words):
+                    for b in (a, words[(5 * i + 3) % len(words)]):
+                        on_bits = _outcome(lambda: call(params, a, b, Bits))
+                        on_str = _outcome(lambda: call(params, a, b, str))
+                        assert on_str == on_bits, (k1, k2, a, b)
+
+
+@pytest.mark.parametrize("bad", ["0021", "0a01"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p, bad: condition_a(p, bad, 4), id="condition_a"),
+        pytest.param(lambda p, bad: condition_b(p, 0, bad[:3], 4), id="condition_b"),
+        pytest.param(lambda p, bad: step_outputs(p, bad, "000"), id="step_outputs-x"),
+        # condition a fires at step 4 of 0001, before the output prefix is read
+        pytest.param(lambda p, bad: step_outputs(p, "0001", bad[:3]), id="step_outputs-y"),
+        pytest.param(lambda p, bad: transition_prob(p, bad, "000", 0), id="transition_prob"),
+        pytest.param(lambda p, bad: possible_outputs(p, bad), id="possible_outputs"),
+        pytest.param(lambda p, bad: output_membership(p, bad, "0011"), id="output_membership-x"),
+        pytest.param(lambda p, bad: output_membership(p, "0011", bad), id="output_membership-y"),
+        pytest.param(lambda p, bad: confusable_dp(p, bad, "0011"), id="confusable_dp-x"),
+        pytest.param(lambda p, bad: confusable_dp(p, "0011", bad), id="confusable_dp-other"),
+        pytest.param(lambda p, bad: sample_output(p, bad, 7), id="sample_output"),
+        pytest.param(lambda p, bad: decode(p, Code.from_words(["0011"]), bad), id="decode"),
+        pytest.param(
+            lambda p, bad: replace_codeword(p, Code.from_words(["0011"]), "0011", bad),
+            id="replace_codeword",
+        ),
+    ],
+)
+def test_channel_functions_refuse_non_binary_symbols(call, bad):
+    with pytest.raises(ValueError, match=f"symbols must be 0 or 1, got '{bad[:3]}"):
+        call(ChannelParams(2, 2), bad)

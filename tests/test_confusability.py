@@ -138,7 +138,7 @@ def test_first_symbol_always_separates():
     # y_1 = x_1 is forced, so inputs differing at position 1 never share outputs
     params = ChannelParams(4, 4)
     for a, b in combinations(all_sequences(5), 2):
-        if a.at(1) != b.at(1):
+        if a[0] != b[0]:
             assert not confusable_dp(params, a, b)
 
 

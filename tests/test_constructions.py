@@ -124,7 +124,7 @@ def test_tail_family_decomposition():
 
     def tail_run(x):
         run = 1
-        while run < len(x) and x.at(len(x) - run) == x.at(len(x)):
+        while run < len(x) and x[-1 - run] == x[-1]:
             run += 1
         return run
 

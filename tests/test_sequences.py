@@ -13,7 +13,7 @@ from zecap import (
     condition_b,
     contains_run,
 )
-from zecap.sequences import ENUMERATION_CAP, run_steps
+from zecap.sequences import ENUMERATION_CAP, run_steps, symbols
 
 bit_strings = st.text(alphabet="01", max_size=24)
 
@@ -22,22 +22,12 @@ def test_construction_and_rendering():
     x = Bits("0101")
     assert str(x) == "0101"
     assert len(x) == 4
-    assert list(x) == [0, 1, 0, 1]
+    assert list(symbols(x)) == [0, 1, 0, 1]
 
 
 def test_rejects_non_binary():
     with pytest.raises(ValueError):
         Bits("012")
-
-
-def test_one_based_access():
-    x = Bits("0110")
-    assert x.at(1) == 0
-    assert x.at(2) == 1
-    with pytest.raises(ValueError):
-        x.at(0)
-    with pytest.raises(ValueError):
-        x.at(5)
 
 
 def test_index_round_trip():
@@ -103,7 +93,7 @@ def test_run_steps_break_flags_match_the_channel_conditions(span):
     as_input, as_output = ChannelParams(span, 1), ChannelParams(1, span)
     for word in all_sequences(9):
         state = 0
-        for t, sym in enumerate(word, start=1):
+        for t, sym in enumerate(symbols(word), start=1):
             state, breaks = steps[state][sym]
             assert breaks == condition_a(as_input, word, t), (str(word), t)
             assert breaks == condition_b(as_output, sym, Bits(word[: t - 1]), t), (str(word), t)
@@ -121,7 +111,9 @@ def test_bits_is_a_checked_str():
 
 
 def test_bits_operations_stay_bits():
-    assert list(Bits("0110")) == [0, 1, 1, 0]
+    assert list(symbols(Bits("0110"))) == [0, 1, 1, 0]
+    # iteration is the string's
+    assert list(Bits("0110")) == ["0", "1", "1", "0"]
     assert repr(Bits("01")) == "Bits('01')"
     # + is the string's: the joined word is a plain str, checked again as Bits(...)
     joined = Bits("01") + "10"

@@ -68,7 +68,7 @@ def test_coin_frequency_close_to_half():
         y = sample_output(params, x, seed)
         for t in range(2, len(x) + 1):
             flips += 1
-            coins += y.at(t)
+            coins += int(y[t - 1])
     n_half = flips / 2
     sigma = (flips * 0.25) ** 0.5
     assert abs(coins - n_half) <= 3 * sigma
